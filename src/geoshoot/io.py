@@ -85,7 +85,12 @@ def template_from_dict(doc: dict, path="<memory>") -> LandmarkTemplate:
         points = doc["points"]
     except KeyError:
         raise ConfigurationError(f"{path}: template JSON lacks 'points'") from None
-    return LandmarkTemplate(np.asarray(points, dtype=float), doc.get("label", ""))
+    # Bad points are bad input: coincident landmarks raise
+    # DegenerateConfigurationError, which is a ValueError too.
+    try:
+        return LandmarkTemplate(np.asarray(points, dtype=float), doc.get("label", ""))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: invalid template points ({exc})") from exc
 
 
 def save_template(t: LandmarkTemplate, path) -> Path:

@@ -88,34 +88,53 @@ class KernelSpec:
         return 1.0 / (2.0 * math.pi * a2)
 
 
-def _bessel_value_raw(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """Unnormalized bessel-family kernel, continuous extension at r = 0."""
-    mu = spec.nu - 1.0
-    c = 2.0 ** (1.0 - spec.nu) / (
-        2.0 * math.pi * spec.alpha ** (1.0 + spec.nu) * _gamma(spec.nu)
-    )
-    peak = spec.peak()
-    out = np.full_like(r, peak)
-    pos = r > 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = c * r[pos] ** mu * _besselk(mu, r[pos] / spec.alpha)
-    # kv overflows for extremely small arguments at large order; the product
-    # is finite there and indistinguishable from the peak in double precision
-    vals = np.where(np.isfinite(vals), vals, peak)
-    out[pos] = vals
-    return out
+def _kernel_terms(spec: KernelSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G(r) and dG/dr over an array of radii r >= 0, from one evaluation of
+    the family's exp (or of each Bessel order).
 
-
-def _bessel_derivative_raw(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """d/dr of the unnormalized bessel-family kernel, r > 0 only.
-
-    Uses d/dz [z^mu K_mu(z)] = -z^mu K_(mu-1)(z).
+    G is exact at r = 0.  dG/dr there is finite but meaningless (the
+    conical kernel's derivative jumps at the origin), so callers mask it.
+    The slope is returned as dG/dr, not dG/dr / r: the particle system
+    weights it by the momentum product before dividing by r, and dividing
+    first would round every conical rhs, and so every match, differently.
     """
-    mu = spec.nu - 1.0
-    c = 2.0 ** (1.0 - spec.nu) / (
-        2.0 * math.pi * spec.alpha ** (1.0 + spec.nu) * _gamma(spec.nu)
-    )
-    return -(c / spec.alpha) * r**mu * _besselk(mu - 1.0, r / spec.alpha)
+    if spec.family is KernelFamily.BESSEL:
+        # d/dz [z^mu K_mu(z)] = -z^mu K_(mu-1)(z), with z = r / alpha.
+        mu = spec.nu - 1.0
+        c = 2.0 ** (1.0 - spec.nu) / (
+            2.0 * math.pi * spec.alpha ** (1.0 + spec.nu) * _gamma(spec.nu)
+        )
+        peak = spec.peak()
+        value = np.full_like(r, peak)
+        slope = np.zeros_like(r)
+        pos = r > 0
+        rp = r[pos]
+        r_mu = rp**mu
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = c * r_mu * _besselk(mu, rp / spec.alpha)
+        # kv overflows for extremely small arguments at large order; the
+        # product is finite there and indistinguishable from the peak
+        value[pos] = np.where(np.isfinite(vals), vals, peak)
+        slope[pos] = -(c / spec.alpha) * r_mu * _besselk(mu - 1.0, rp / spec.alpha)
+        if spec.normalized:
+            value /= peak
+            slope /= peak
+        return value, slope
+
+    if spec.family is KernelFamily.CONICAL:
+        # In place: at N = 1024 every (N, N) temporary is 8 MB of peak memory.
+        value = np.negative(r)
+        value /= spec.alpha
+        np.exp(value, out=value)
+        slope = np.negative(value)
+        slope /= spec.alpha
+    else:
+        value = np.exp(-0.5 * (r / spec.alpha) ** 2)
+        slope = -(r / spec.alpha**2) * value
+    if not spec.normalized:
+        value *= spec.peak()
+        slope *= spec.peak()
+    return value, slope
 
 
 def kernel_value(spec: KernelSpec, r):
@@ -123,23 +142,8 @@ def kernel_value(spec: KernelSpec, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("kernel_value requires r >= 0")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-
-    if spec.family is KernelFamily.CONICAL:
-        out = np.exp(-r_arr / spec.alpha)
-        if not spec.normalized:
-            out *= spec.peak()
-    elif spec.family is KernelFamily.GAUSSIAN:
-        out = np.exp(-0.5 * (r_arr / spec.alpha) ** 2)
-        if not spec.normalized:
-            out *= spec.peak()
-    else:
-        out = _bessel_value_raw(spec, r_arr)
-        if spec.normalized:
-            out /= spec.peak()
-
-    return float(out[0]) if scalar else out
+    out = _kernel_terms(spec, np.atleast_1d(r_arr))[0]
+    return float(out[0]) if r_arr.ndim == 0 else out
 
 
 def kernel_derivative(spec: KernelSpec, r):
@@ -152,30 +156,25 @@ def kernel_derivative(spec: KernelSpec, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
         raise ValueError("kernel_derivative requires r > 0; r = 0 is a caller bug")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-
-    if spec.family is KernelFamily.CONICAL:
-        out = -np.exp(-r_arr / spec.alpha) / spec.alpha
-        if not spec.normalized:
-            out *= spec.peak()
-    elif spec.family is KernelFamily.GAUSSIAN:
-        out = -(r_arr / spec.alpha**2) * np.exp(-0.5 * (r_arr / spec.alpha) ** 2)
-        if not spec.normalized:
-            out *= spec.peak()
-    else:
-        out = _bessel_derivative_raw(spec, r_arr)
-        if spec.normalized:
-            out /= spec.peak()
-
-    return float(out[0]) if scalar else out
+    out = _kernel_terms(spec, np.atleast_1d(r_arr))[1]
+    return float(out[0]) if r_arr.ndim == 0 else out
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of Euclidean distances between planar points."""
+def pairwise_distances(points, others=None) -> np.ndarray:
+    """Matrix of Euclidean distances from planar ``points`` to ``others``
+    (to ``points`` themselves by default, giving a symmetric matrix).
+
+    Works on the two coordinate differences in place, never on an
+    (N, M, 2) difference tensor.
+    """
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    oth = pts if others is None else np.asarray(others, dtype=float)
+    dx = pts[:, 0, None] - oth[None, :, 0]
+    dy = pts[:, 1, None] - oth[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:

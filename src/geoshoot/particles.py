@@ -13,6 +13,12 @@ The momentum equation is antisymmetric under i <-> j, so total linear
 momentum is conserved exactly; H, linear and angular momentum are all
 conserved by the exact flow and exposed via :func:`conserved_quantities`
 as integration diagnostics.
+
+Input is validated at the public boundary: :class:`ParticleState`
+checks shapes and finiteness once, and :func:`rhs` hands its arrays to
+the unvalidated ``_rhs``, which :func:`geoshoot.integrator.evolve` calls
+directly on every RK4 stage.  ``_rhs`` computes the pairwise distances
+once and gets G and G' from one kernel evaluation per call.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateConfigurationError
-from .kernels import KernelSpec, kernel_derivative, kernel_value, pairwise_distances
+from .kernels import KernelSpec, _kernel_terms, kernel_value, pairwise_distances
 
 __all__ = [
     "ParticleState",
@@ -76,45 +82,46 @@ class SystemSpec:
             raise ConfigurationError(f"sigma2 must be nonnegative, got {self.sigma2}")
 
 
-def _interaction_terms(spec: SystemSpec, q: np.ndarray, p: np.ndarray):
-    """Shared distance/kernel work for one rhs evaluation.
+def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray):
+    """(dq, dp) on raw (N, 2) arrays, with no input validation.
 
-    Returns (K, A) with K[i,j] = G(d_ij) and A[i,j] = (p_i.p_j) G'(d_ij)/d_ij
-    for i != j (zero on the diagonal).  Coincident pairs are tolerated only
-    when their momentum product vanishes, in which case their A entry is zero.
+    With K[i,j] = G(d_ij) and A[i,j] = (p_i.p_j) G'(d_ij) / d_ij off the
+    diagonal (zero on it), dq = K p and dp_i = -sum_j A[i,j] (q_i - q_j).
+    Coincident pairs are tolerated only when their momentum product
+    vanishes, in which case their A entry is zero.
     """
-    n = q.shape[0]
     dist = pairwise_distances(q)
-    kmat = kernel_value(spec.kernel, dist)
-
+    kmat, a = _kernel_terms(spec.kernel, dist)
     pdot = p @ p.T
-    off_diag = ~np.eye(n, dtype=bool)
-    coincident = (dist == 0.0) & off_diag
-    if np.any(coincident & (pdot != 0.0)):
-        i, j = np.argwhere(coincident & (pdot != 0.0))[0]
-        raise DegenerateConfigurationError(
-            f"particles {i} and {j} coincide with interacting momenta; "
-            "the momentum equation is singular there"
-        )
+    # dist is exactly 0 on the diagonal; any other 0 is a coincident pair.
+    np.fill_diagonal(dist, 1.0)
+    coincident = None
+    if np.count_nonzero(dist) < dist.size:
+        coincident = dist == 0.0
+        clash = np.argwhere(coincident & (pdot != 0.0))
+        if len(clash):
+            i, j = clash[0]
+            raise DegenerateConfigurationError(
+                f"particles {i} and {j} coincide with interacting momenta; "
+                "the momentum equation is singular there"
+            )
+        dist[coincident] = 1.0
+    a *= pdot
+    a /= dist
+    np.fill_diagonal(a, 0.0)
+    if coincident is not None:
+        a[coincident] = 0.0
 
-    safe = dist.copy()
-    safe[~off_diag] = 1.0
-    safe[coincident] = 1.0
-    a = pdot * kernel_derivative(spec.kernel, safe) / safe
-    a[~off_diag] = 0.0
-    a[coincident] = 0.0
-    return kmat, a
-
-
-def rhs(spec: SystemSpec, state: ParticleState) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative (dq, dp) of the particle system at ``state``."""
-    q, p = state.q, state.p
-    kmat, a = _interaction_terms(spec, q, p)
     dq = kmat @ p
     if spec.sigma2 != 0.0:
         dq = dq + spec.sigma2 * p
     dp = -(a.sum(axis=1)[:, None] * q - a @ q)
     return dq, dp
+
+
+def rhs(spec: SystemSpec, state: ParticleState) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivative (dq, dp) of the particle system at ``state``."""
+    return _rhs(spec, state.q, state.p)
 
 
 def hamiltonian(spec: SystemSpec, state: ParticleState) -> float:
@@ -145,8 +152,7 @@ def velocity_field(spec: SystemSpec, state: ParticleState, x) -> np.ndarray:
     x_arr = np.asarray(x, dtype=float)
     single = x_arr.ndim == 1
     pts = np.atleast_2d(x_arr)
-    dist = np.sqrt(np.sum((pts[:, None, :] - state.q[None, :, :]) ** 2, axis=-1))
-    u = kernel_value(spec.kernel, dist) @ state.p
+    u = kernel_value(spec.kernel, pairwise_distances(pts, state.q)) @ state.p
     return u[0] if single else u
 
 

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 from .errors import ConfigurationError, DegenerateConfigurationError, DivergenceError
 from .integrator import EvolveConfig, evolve
@@ -91,8 +93,10 @@ class ShootingConfig:
             raise ConfigurationError(f"h must be positive, got {self.h}")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ConfigurationError(
+                f"max_iter must be an integer >= 1, got {self.max_iter!r}"
+            )
         if self.system.sigma2 > 0 and self.stop_rule is not StopRule.MOMENTUM_DELTA:
             raise ConfigurationError(
                 "inexact matching (sigma2 > 0) cannot stop on the endpoint "
@@ -138,21 +142,34 @@ def _norm(kind: ResidualNorm, vec: np.ndarray) -> float:
 class _GramSolver:
     """Cholesky factorization of the kernel Gram matrix over fixed points,
     reused across all iterations of a match (the initial landmarks never
-    move, so the factorization is constant)."""
+    move, so the factorization is constant).
+
+    ``condition`` is LAPACK's estimate of the 1-norm condition number
+    (``dpocon`` on the Cholesky factor), not an exact value: it costs
+    O(N^2) next to the O(N^3) factorization, where an SVD would cost
+    several factorizations, and it only decides whether to warn.
+    """
 
     def __init__(self, kernel: KernelSpec, q0: np.ndarray):
         k = gram_matrix(kernel, q0)
-        self.condition = float(np.linalg.cond(k))
+        norm1 = np.linalg.norm(k, 1)
         try:
             self._factor = cho_factor(k, lower=True)
         except np.linalg.LinAlgError as exc:
             raise DegenerateConfigurationError(
                 f"kernel Gram matrix is not positive definite: {exc}"
             ) from exc
+        rcond, _ = dpocon(self._factor[0], norm1, uplo="L")
+        self.condition = 1.0 / rcond if rcond > 0 else math.inf
 
-    @property
-    def ill_conditioned(self) -> bool:
-        return not (self.condition < _ILL_CONDITIONED)
+    def warnings(self) -> tuple:
+        if self.condition < _ILL_CONDITIONED:
+            return ()
+        return (
+            f"Gram matrix condition number {self.condition:.3e} (LAPACK 1-norm "
+            f"estimate) exceeds {_ILL_CONDITIONED:.0e}; momenta recovery may "
+            "lose accuracy",
+        )
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         # (K (x) I2) p = u decouples into one solve per coordinate.
@@ -234,12 +251,7 @@ def match(
     n = reference.n
     velocity_mode = cfg.update_space is UpdateSpace.VELOCITY
     solver = _GramSolver(cfg.system.kernel, q0) if velocity_mode else None
-    warnings = ()
-    if solver is not None and solver.ill_conditioned:
-        warnings = (
-            f"Gram matrix condition number {solver.condition:.3e} exceeds "
-            f"{_ILL_CONDITIONED:.0e}; momenta recovery may lose accuracy",
-        )
+    warnings = solver.warnings() if solver is not None else ()
 
     u = np.zeros((n, 2))
     p = np.zeros((n, 2))
@@ -342,12 +354,7 @@ def newton_match(
     q0 = reference.points
     n = reference.n
     solver = _GramSolver(cfg.system.kernel, q0)
-    warnings = ()
-    if solver.ill_conditioned:
-        warnings = (
-            f"Gram matrix condition number {solver.condition:.3e} exceeds "
-            f"{_ILL_CONDITIONED:.0e}; momenta recovery may lose accuracy",
-        )
+    warnings = solver.warnings()
 
     def shoot(u_flat: np.ndarray) -> np.ndarray:
         p = solver.solve(u_flat.reshape(n, 2))

@@ -92,6 +92,21 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["nan", "coincident"])
+def test_bad_template_points_exit_2(tmp_path, pair, capsys, name):
+    ref, _ = pair
+    points = circle(1.0, n=8).points.tolist()
+    if name == "nan":
+        points[2][0] = float("nan")
+    else:
+        points[3] = points[2]
+    bad = tmp_path / f"bad-{name}.json"
+    bad.write_text(json.dumps({"points": points}))
+    code = main(["match", str(ref), str(bad), *QUICK, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_invalid_gain_exits_2(tmp_path, pair, capsys):
     ref, tgt = pair
     code = main(["match", str(ref), str(tgt), "--h", "-1", "--out", str(tmp_path / "x")])

@@ -108,6 +108,10 @@ def test_config_validation():
         EvolveConfig(steps=0)
     with pytest.raises(ConfigurationError):
         EvolveConfig(capture_every=-1)
+    with pytest.raises(ConfigurationError):
+        EvolveConfig(steps=2.5)
+    with pytest.raises(ConfigurationError):
+        EvolveConfig(capture_every=1.5)
 
 
 def test_single_step_runs():

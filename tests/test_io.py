@@ -67,6 +67,16 @@ def test_loader_reports_missing_points(tmp_path):
         load_template(path)
 
 
+@pytest.mark.parametrize(
+    "points", [[[0, "a"], [1, 1]], [[0, {"x": 1}], [1, 1]], [[0, 0, 0]]]
+)
+def test_loader_reports_bad_points(tmp_path, points):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"points": points}))
+    with pytest.raises(ConfigurationError, match="invalid template points"):
+        load_template(path)
+
+
 def test_loader_reports_bad_json_and_missing_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

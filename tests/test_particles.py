@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gamma as gamma_fn
+from scipy.special import kv
 
 from geoshoot import (
     ConfigurationError,
     DegenerateConfigurationError,
     EvolveConfig,
+    KernelFamily,
     KernelSpec,
     ParticleState,
     SystemSpec,
@@ -188,3 +195,130 @@ def test_state_validation():
         ParticleState(bad, good)
     with pytest.raises(ConfigurationError):
         SystemSpec(sigma2=-0.1)
+
+
+def _kernel_pair(kernel: KernelSpec, r: float) -> tuple[float, float]:
+    """G(r) and G'(r), written out from the kernels module docstring."""
+    a, nu = kernel.alpha, kernel.nu
+    if kernel.family is KernelFamily.BESSEL:
+        c = 2.0 ** (1.0 - nu) / (2.0 * math.pi * a ** (1.0 + nu) * gamma_fn(nu))
+        peak = 1.0 / (4.0 * math.pi * a * a * (nu - 1.0))
+        if r == 0.0:
+            g, dg = peak, 0.0
+        else:
+            g = c * r ** (nu - 1.0) * kv(nu - 1.0, r / a)
+            dg = -(c / a) * r ** (nu - 1.0) * kv(nu - 2.0, r / a)
+        scale = 1.0 / peak if kernel.normalized else 1.0
+    else:
+        if kernel.family is KernelFamily.CONICAL:
+            g = math.exp(-r / a)
+            dg = -g / a
+        else:
+            g = math.exp(-r * r / (2.0 * a * a))
+            dg = -r / (a * a) * g
+        scale = 1.0 if kernel.normalized else 1.0 / (2.0 * math.pi * a * a)
+    return g * scale, dg * scale
+
+
+def _naive_rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray):
+    """Per-pair double loop over the module-docstring equations.
+
+    Also returns, per particle, the summed magnitude of the terms of each
+    equation, the scale that rounding in a reordered sum is relative to.
+    """
+    n = len(q)
+    dq, dp = np.zeros((n, 2)), np.zeros((n, 2))
+    dq_scale, dp_scale = np.zeros(n), np.zeros(n)
+    for i in range(n):
+        for j in range(n):
+            r = math.hypot(q[i, 0] - q[j, 0], q[i, 1] - q[j, 1])
+            g, dg = _kernel_pair(spec.kernel, r)
+            dq[i] += g * p[j]
+            dq_scale[i] += abs(g) * np.abs(p[j]).sum()
+            if j != i:
+                dp[i] -= float(p[i] @ p[j]) * dg / r * (q[i] - q[j])
+                dp_scale[i] += (
+                    np.abs(p[i]).sum() * np.abs(p[j]).sum() * abs(dg) / r
+                    * (np.abs(q[i]).sum() + np.abs(q[j]).sum())
+                )
+        dq[i] += spec.sigma2 * p[i]
+        dq_scale[i] += spec.sigma2 * np.abs(p[i]).sum()
+    return dq, dp, dq_scale, dp_scale
+
+
+def _within_rounding(got, want, scale) -> bool:
+    """|got - want| <= 1e-12 of the summed term magnitudes; the 1e-300
+    floor absorbs products that underflow into subnormals."""
+    return bool(np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300))
+
+
+@st.composite
+def _systems(draw):
+    """A kernel of every family and normalization, with sigma2 in {0, 0.3}."""
+    kernel = KernelSpec(
+        family=draw(st.sampled_from(list(KernelFamily))),
+        nu=draw(st.sampled_from([1.5, 2.5, 3.2])),
+        alpha=draw(st.floats(0.5, 2.0)),
+        normalized=draw(st.booleans()),
+    )
+    return SystemSpec(kernel=kernel, sigma2=draw(st.sampled_from([0.0, 0.3])))
+
+
+@st.composite
+def _distinct_states(draw):
+    """2 to 8 particles, distinct by construction: unique cells of a
+    0.5-spaced lattice, each jittered by less than 0.4, stay >= 0.1 apart."""
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            min_size=2, max_size=8, unique=True,
+        )
+    )
+    n = len(cells)
+    jitter = st.floats(0.0, 0.4)
+    q = 0.5 * np.array(cells, dtype=float) + np.array(
+        draw(st.lists(st.tuples(jitter, jitter), min_size=n, max_size=n))
+    )
+    momentum = st.floats(-2.0, 2.0)
+    p = np.array(draw(st.lists(st.tuples(momentum, momentum), min_size=n, max_size=n)))
+    return q, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_systems(), state=_distinct_states())
+def test_rhs_matches_naive_pair_loop(spec, state):
+    q, p = state
+    dq, dp = rhs(spec, ParticleState(q, p))
+    want_dq, want_dp, dq_scale, dp_scale = _naive_rhs(spec, q, p)
+    assert _within_rounding(dq, want_dq, dq_scale[:, None])
+    assert _within_rounding(dp, want_dp, dp_scale[:, None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=_systems(),
+    state=_distinct_states(),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    reflect=st.booleans(),
+    shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+def test_rhs_is_isometry_equivariant(spec, state, angle, reflect, shift):
+    q, p = state
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    if reflect:
+        rot = rot @ np.diag([1.0, -1.0])
+    moved_q, moved_p = q @ rot.T + np.array(shift), p @ rot.T
+    dq, dp = rhs(spec, ParticleState(q, p))
+    moved_dq, moved_dp = rhs(spec, ParticleState(moved_q, moved_p))
+    _, _, dq_scale, dp_scale = _naive_rhs(spec, moved_q, moved_p)
+    assert _within_rounding(moved_dq, dq @ rot.T, dq_scale[:, None])
+    assert _within_rounding(moved_dp, dp @ rot.T, dp_scale[:, None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_systems(), state=_distinct_states())
+def test_rhs_momentum_rows_sum_to_zero(spec, state):
+    q, p = state
+    _, dp = rhs(spec, ParticleState(q, p))
+    _, _, _, dp_scale = _naive_rhs(spec, q, p)
+    assert _within_rounding(dp.sum(axis=0), 0.0, dp_scale.sum())

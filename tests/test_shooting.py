@@ -27,6 +27,7 @@ from geoshoot import (
     momenta_from_velocity,
     newton_match,
 )
+from geoshoot.shooting import _GramSolver
 
 # Small pair used throughout: a circle pulled onto a slightly shifted,
 # slightly eccentric ellipse.  Converges in a few dozen iterations.
@@ -200,6 +201,8 @@ def test_config_rejects_bad_tolerance_and_cap():
         ShootingConfig(h=0.5, epsilon=0.0)
     with pytest.raises(ConfigurationError):
         ShootingConfig(h=0.5, max_iter=0)
+    with pytest.raises(ConfigurationError):
+        ShootingConfig(h=0.5, max_iter=2.5)
 
 
 def test_config_coerces_enum_strings():
@@ -234,6 +237,15 @@ def test_near_singular_gram_matrix_warns():
     result = match(circle(1.0, n=8), circle(1.1, n=8), cfg)
     assert result.warnings
     assert "condition number" in result.warnings[0]
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("shape", [lambda n: circle(2.0, n=n), heart4])
+def test_gram_condition_estimate_is_within_10x_of_exact(shape, n):
+    points = shape(n).points
+    estimate = _GramSolver(KernelSpec(), points).condition
+    exact = np.linalg.cond(gram_matrix(KernelSpec(), points))
+    assert exact / 10.0 <= estimate <= 10.0 * exact
 
 
 def test_momenta_from_velocity_validates_shapes():
