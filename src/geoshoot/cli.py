@@ -168,6 +168,7 @@ def _cmd_shapes(args: argparse.Namespace) -> int:
 def _cmd_match(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _config_from(args)
+    capture = EvolveConfig(cfg.evolve.t_final, cfg.evolve.steps, args.capture_every)
     reference = load_template(args.reference)
     target = load_template(args.target)
     out = _out_dir(args, "match")
@@ -175,12 +176,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
     result = match(reference, target, cfg)
     save_match_result(result, out / "result.json", cfg)
     write_residual_csv(result.residual_history, out / "residuals.csv")
-    if args.capture_every > 0:
-        run = evolve(
-            cfg.system,
-            ParticleState(reference.points, result.p0),
-            EvolveConfig(cfg.evolve.t_final, cfg.evolve.steps, args.capture_every),
-        )
+    if capture.capture_every > 0:
+        run = evolve(cfg.system, ParticleState(reference.points, result.p0), capture)
         write_trajectory_csv(run.frames, out / "trajectory.csv")
         save_svg(frames_svg(run.frames), out / "frames.svg")
 

@@ -17,18 +17,27 @@ as integration diagnostics.
 Input is validated at the public boundary: :class:`ParticleState`
 checks shapes and finiteness once, and :func:`rhs` hands its arrays to
 the unvalidated ``_rhs``, which :func:`geoshoot.integrator.evolve` calls
-directly on every RK4 stage.  ``_rhs`` computes the pairwise distances
-once and gets G and G' from one kernel evaluation per call.
+directly on every RK4 stage.  ``_rhs`` works in row blocks of the
+pairwise matrices, sized by the kernels module to stay in cache: each
+block computes its distances once, gets G and G' from one kernel
+evaluation, and adds its rows of dq and dp.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateConfigurationError
-from .kernels import KernelSpec, _kernel_terms, kernel_value, pairwise_distances
+from .kernels import (
+    KernelSpec,
+    _kernel_terms,
+    _block_rows,
+    kernel_value,
+    pairwise_distances,
+)
 
 __all__ = [
     "ParticleState",
@@ -78,8 +87,10 @@ class SystemSpec:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ConfigurationError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
+            raise ConfigurationError(
+                f"sigma2 must be nonnegative and finite, got {self.sigma2}"
+            )
 
 
 def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray):
@@ -88,34 +99,46 @@ def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray):
     With K[i,j] = G(d_ij) and A[i,j] = (p_i.p_j) G'(d_ij) / d_ij off the
     diagonal (zero on it), dq = K p and dp_i = -sum_j A[i,j] (q_i - q_j).
     Coincident pairs are tolerated only when their momentum product
-    vanishes, in which case their A entry is zero.
+    vanishes, in which case their A entry is zero.  Rows s:e of K and A
+    are built one block at a time, so their diagonal is the flat strided
+    slice [s::N+1] of the block.
     """
-    dist = pairwise_distances(q)
-    kmat, a = _kernel_terms(spec.kernel, dist)
-    pdot = p @ p.T
-    # dist is exactly 0 on the diagonal; any other 0 is a coincident pair.
-    np.fill_diagonal(dist, 1.0)
-    coincident = None
-    if np.count_nonzero(dist) < dist.size:
-        coincident = dist == 0.0
-        clash = np.argwhere(coincident & (pdot != 0.0))
-        if len(clash):
-            i, j = clash[0]
-            raise DegenerateConfigurationError(
-                f"particles {i} and {j} coincide with interacting momenta; "
-                "the momentum equation is singular there"
-            )
-        dist[coincident] = 1.0
-    a *= pdot
-    a /= dist
-    np.fill_diagonal(a, 0.0)
-    if coincident is not None:
-        a[coincident] = 0.0
-
-    dq = kmat @ p
+    n = len(q)
+    rows = _block_rows(n)
+    dq = np.empty_like(p)
+    dp = np.empty_like(q)
+    for s in range(0, n, rows):
+        e = s + rows  # past n in the last block; slices stop at n
+        qb = q[s:e]
+        dist = pairwise_distances(qb, q)
+        kmat, a = _kernel_terms(spec.kernel, dist)
+        pdot = p[s:e] @ p.T
+        # dist is exactly 0 on the diagonal; any other 0 is a coincident pair.
+        dist.reshape(-1)[s :: n + 1] = 1.0
+        coincident = None
+        if np.count_nonzero(dist) < dist.size:
+            coincident = dist == 0.0
+            clash = np.argwhere(coincident & (pdot != 0.0))
+            if len(clash):
+                i, j = clash[0]
+                raise DegenerateConfigurationError(
+                    f"particles {s + i} and {j} coincide with interacting momenta; "
+                    "the momentum equation is singular there"
+                )
+            dist[coincident] = 1.0
+        a *= pdot
+        a /= dist
+        a.reshape(-1)[s :: n + 1] = 0.0
+        if coincident is not None:
+            a[coincident] = 0.0
+        # Written into dq and dp in place: at small N each temporary and
+        # copy is a measurable share of the call.
+        np.matmul(kmat, p, out=dq[s:e])
+        dpb = a.sum(axis=1)[:, None] * qb
+        dpb -= a @ q
+        np.negative(dpb, out=dp[s:e])
     if spec.sigma2 != 0.0:
-        dq = dq + spec.sigma2 * p
-    dp = -(a.sum(axis=1)[:, None] * q - a @ q)
+        dq += spec.sigma2 * p
     return dq, dp
 
 

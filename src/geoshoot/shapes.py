@@ -72,14 +72,28 @@ def _check_n(n: int, minimum: int = 3) -> None:
         raise ConfigurationError(f"need at least {minimum} landmarks, got {n}")
 
 
+def _check_positive(**lengths: float) -> None:
+    """Reject lengths that are not positive and finite; NaN fails too."""
+    for name, value in lengths.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_finite(**coords) -> None:
+    """Reject non-finite centres, shifts and angles."""
+    for name, value in coords.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 def _angles(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
 def circle(radius: float, center=(0.0, 0.0), n: int = 64, label: str | None = None) -> LandmarkTemplate:
     """n points on a circle at uniform angles, counterclockwise from angle 0."""
-    if radius <= 0:
-        raise ConfigurationError(f"radius must be positive, got {radius}")
+    _check_positive(radius=radius)
+    _check_finite(center=center)
     _check_n(n)
     theta = _angles(n)
     cx, cy = float(center[0]), float(center[1])
@@ -105,8 +119,8 @@ def ellipse_rot_shift(
     a rigid rotation; see standard_rotated_ellipse for the rigid version.
     At angle = 0 both coincide with the axis-aligned ellipse.
     """
-    if a <= 0 or b <= 0:
-        raise ConfigurationError(f"semi-axes must be positive, got a={a}, b={b}")
+    _check_positive(a=a, b=b)
+    _check_finite(angle=angle, shift=shift)
     _check_n(n)
     theta = _angles(n)
     sx, sy = float(shift[0]), float(shift[1])
@@ -127,8 +141,8 @@ def standard_rotated_ellipse(
     label: str | None = None,
 ) -> LandmarkTemplate:
     """Rigidly rotated ellipse: R(angle) @ (a cos(theta), b sin(theta)) + shift."""
-    if a <= 0 or b <= 0:
-        raise ConfigurationError(f"semi-axes must be positive, got a={a}, b={b}")
+    _check_positive(a=a, b=b)
+    _check_finite(angle=angle, shift=shift)
     _check_n(n)
     theta = _angles(n)
     ex, ey = a * np.cos(theta), b * np.sin(theta)
@@ -165,8 +179,7 @@ def square(side: float, n: int = 64, label: str | None = None) -> LandmarkTempla
     deformation cost several-fold.  Corners fall on landmarks exactly when
     n is a multiple of 8 (at n = 4 the landmarks are the edge midpoints).
     """
-    if side <= 0:
-        raise ConfigurationError(f"side must be positive, got {side}")
+    _check_positive(side=side)
     _check_n(n, minimum=4)
     if n % 4 != 0:
         raise ConfigurationError(f"square needs n divisible by 4, got {n}")
@@ -201,8 +214,7 @@ def circle_ellipse_hybrid(
     angularly aligned with landmark k of a circle at the same n.  The
     curve is closed only when a = r.
     """
-    if r <= 0 or a <= 0 or b <= 0:
-        raise ConfigurationError(f"r, a, b must be positive, got {r}, {a}, {b}")
+    _check_positive(r=r, a=a, b=b)
     _check_n(n, minimum=4)
     if n % 2 != 0:
         raise ConfigurationError(f"hybrid needs even n, got {n}")

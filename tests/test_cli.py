@@ -107,6 +107,41 @@ def test_bad_template_points_exit_2(tmp_path, pair, capsys, name):
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circle", "--radius", "nan"],
+        ["circle", "--shift-x", "nan"],
+        ["ellipse", "--a", "inf"],
+        ["rotated-ellipse", "--angle", "nan"],
+        ["hybrid", "--r", "nan"],
+        ["square", "--side", "inf"],
+    ],
+)
+def test_nonfinite_shape_parameters_exit_2(tmp_path, capsys, argv):
+    code = main(["shapes", *argv, "--n", "8", "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sigma2", "nan", "--stop", "momentum-delta"],
+        ["--sigma2", "inf", "--stop", "momentum-delta"],
+        ["--capture-every", "-1"],
+    ],
+)
+def test_bad_match_options_exit_2(tmp_path, pair, capsys, flags):
+    ref, tgt = pair
+    out = tmp_path / "x"
+    code = main(["match", str(ref), str(tgt), *QUICK, *flags, "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
 def test_invalid_gain_exits_2(tmp_path, pair, capsys):
     ref, tgt = pair
     code = main(["match", str(ref), str(tgt), "--h", "-1", "--out", str(tmp_path / "x")])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from geoshoot import (
     circle,
     heart4,
 )
+from geoshoot import kernels
 
 # Frozen from 50-digit mpmath evaluations of
 # C r^(nu-1) K_(nu-1)(r/alpha), C = 2^(1-nu) / (2 pi alpha^(1+nu) Gamma(nu)),
@@ -187,3 +189,21 @@ def test_gram_rejects_coincident_points():
         gram_matrix(KernelSpec(), pts)
     with pytest.raises(ValueError):
         gram_matrix(KernelSpec(), np.zeros((2, 3)))
+    # Points 3 and 5 coincide; in blocks of two rows they sit in different
+    # blocks, and the error still names their global indices.
+    pts = circle(1.0, n=6).points.copy()
+    pts[5] = pts[3]
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", 2 * 6):
+        with pytest.raises(DegenerateConfigurationError, match="points 3 and 5"):
+            gram_matrix(KernelSpec(), pts)
+
+
+def test_gram_is_identical_under_every_block_budget():
+    """The Gram matrix is elementwise, so no row split may change a bit."""
+    pts = heart4(12).points
+    for family in KernelFamily:
+        spec = KernelSpec(family=family, nu=2.5)
+        whole = gram_matrix(spec, pts)
+        for budget in range(1, 12 * 12 + 1):
+            with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
+                np.testing.assert_array_equal(gram_matrix(spec, pts), whole)

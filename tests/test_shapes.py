@@ -173,6 +173,12 @@ def test_hybrid_with_equal_radii_is_a_circle():
         lambda: square(1.0, n=10),
         lambda: circle_ellipse_hybrid(1.0, 1.0, 0.0),
         lambda: circle_ellipse_hybrid(1.0, 1.0, 1.0, n=7),
+        lambda: circle(math.nan),
+        lambda: circle(1.0, center=(0.0, math.inf)),
+        lambda: ellipse_rot_shift(1.0, 1.0, math.nan),
+        lambda: standard_rotated_ellipse(1.0, 1.0, 0.0, shift=(math.nan, 0.0)),
+        lambda: square(math.inf),
+        lambda: circle_ellipse_hybrid(1.0, math.nan, 1.0),
     ],
 )
 def test_generator_rejects_bad_parameters(build):
