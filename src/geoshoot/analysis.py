@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, GeoshootError
+from .errors import ConfigurationError, DegenerateConfigurationError, DivergenceError
 from .integrator import EvolveConfig, evolve
 from .kernels import KernelFamily, KernelSpec
 from .particles import ParticleState, SystemSpec
@@ -259,8 +259,9 @@ def convergence_sweep(
     Cell (i, j) matches with kernel width alpha = sqrt(alpha2_values[i])
     and step h_values[j].  A cell is DIVERGED when the run blows up,
     degenerates, or exhausts ``grid.max_iter``: divergence here is data,
-    not an error, so nothing raises.  Cells are independent; the matrix
-    is assembled in row-major order.
+    not an error.  A bad pair of templates (e.g. unequal landmark
+    counts) still raises ConfigurationError.  Cells are independent;
+    the matrix is assembled in row-major order.
     """
     out = np.empty((len(grid.alpha2_values), len(grid.h_values)), dtype=int)
     for i, alpha2 in enumerate(grid.alpha2_values):
@@ -276,7 +277,7 @@ def convergence_sweep(
             )
             try:
                 res = match(reference, target, cfg)
-            except GeoshootError:
+            except (DivergenceError, DegenerateConfigurationError):
                 out[i, j] = DIVERGED
                 continue
             out[i, j] = res.iterations if res.converged else DIVERGED

@@ -6,8 +6,10 @@ manifest next to its outputs recording the command, every knob, input
 digests, and the outcome, so any file this tool produced can be traced
 back to an exact invocation.
 
-Exit codes: 0 the run converged / completed, 1 a numeric failure
-(divergence, non-convergence), 2 a usage or configuration error.
+Exit codes, the same for every subcommand: 0 success (the run
+converged or completed), 1 a numeric failure (divergence,
+non-convergence), 2 bad input, a bad configuration, or an ``--out``
+path that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ import shlex
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .analysis import (
     DIVERGED,
+    DistanceRecord,
     SweepGrid,
     cluster_test,
     convergence_sweep,
-    exact_vs_inexact,
     predict,
     shape_distance,
 )
@@ -36,7 +39,6 @@ from .io import (
     RunManifest,
     config_echo,
     load_template,
-    match_result_to_dict,
     save_match_result,
     save_template,
     sha256_digest,
@@ -101,25 +103,40 @@ def _config_from(args: argparse.Namespace) -> ShootingConfig:
     )
 
 
-def _out_dir(args: argparse.Namespace, command: str) -> Path:
-    out = Path(args.out) if args.out else Path(f"geoshoot-{command}")
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out) if args.out else Path(f"geoshoot-{args.command}")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _manifest(args, t0, outcome, config=None, inputs=(), extras=None):
-    extras = dict(extras or {})
-    if getattr(args, "seed", None) is not None:
-        extras["seed"] = args.seed
-    return RunManifest(
-        command=shlex.join(["geoshoot", *args.raw_argv]),
-        version=__version__,
-        config=config_echo(config) if config is not None else {},
-        inputs={str(p): sha256_digest(p) for p in inputs},
-        wall_time_s=time.perf_counter() - t0,
-        outcome=outcome,
-        extras=extras,
-    )
+class _Run(NamedTuple):
+    """What a subcommand reports to :func:`main`.
+
+    ``outcome`` goes to the manifest at ``manifest`` and, unless
+    ``shown`` replaces it, to stdout; ``ok`` picks exit code 0 or 1.
+    """
+
+    outcome: str
+    manifest: Path
+    config: ShootingConfig | None = None
+    inputs: tuple = ()
+    ok: bool = True
+    extras: dict | None = None
+    shown: str | None = None
+
+
+def _write_json(doc: dict, path: Path) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _distance_doc(record: DistanceRecord) -> dict:
+    return {
+        "reference": record.reference_label,
+        "target": record.target_label,
+        "H": record.H,
+        "iterations": record.iterations,
+        "converged": record.converged,
+    }
 
 
 # name -> (builder, parameter names pulled from the CLI namespace)
@@ -149,29 +166,26 @@ _SHAPES = {
 }
 
 
-def _cmd_shapes(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_shapes(args: argparse.Namespace) -> _Run:
     builder, param_names = _SHAPES[args.name]
     template = builder(args)
     out = Path(args.out) if args.out else Path(f"{template.label}.json".replace("/", "_"))
     save_template(template, out)
     params = {name: getattr(args, name) for name in param_names}
-    manifest = _manifest(args, t0,
-        outcome=f"wrote {template.n} landmarks to {out}",
+    return _Run(
+        f"wrote {template.n} landmarks to {out}",
+        out.with_suffix(".manifest.json"),
         extras={"generator": args.name, "params": params, "label": template.label},
+        shown=str(out),
     )
-    write_manifest(manifest, out.with_suffix(".manifest.json"))
-    print(out)
-    return 0
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_match(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
     capture = EvolveConfig(cfg.evolve.t_final, cfg.evolve.steps, args.capture_every)
     reference = load_template(args.reference)
     target = load_template(args.target)
-    out = _out_dir(args, "match")
+    out = _out_dir(args)
 
     result = match(reference, target, cfg)
     save_match_result(result, out / "result.json", cfg)
@@ -190,116 +204,75 @@ def _cmd_match(args: argparse.Namespace) -> int:
         outcome = f"failed after {result.iterations} iterations: " + (
             result.diagnosis or "no diagnosis"
         )
-    manifest = _manifest(args, t0, outcome, cfg, inputs=[args.reference, args.target]
-    )
-    write_manifest(manifest, out / "manifest.json")
-    print(outcome)
-    if not result.converged:
         print(f"details in {out / 'result.json'}", file=sys.stderr)
-        return 1
-    return 0
+    return _Run(outcome, out / "manifest.json", cfg, (args.reference, args.target),
+                ok=result.converged)
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_predict(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
     reference = load_template(args.reference)
     partial = load_template(args.target_partial)
-    out = _out_dir(args, "predict")
+    out = _out_dir(args)
     predicted = predict(reference, partial, args.t_match, args.t_predict, cfg)
     save_template(predicted, out / "predicted.json")
-    outcome = f"predicted {predicted.n} landmarks at t = {args.t_predict:g}"
-    manifest = _manifest(args, t0, outcome, cfg,
-        inputs=[args.reference, args.target_partial],
+    return _Run(
+        f"predicted {predicted.n} landmarks at t = {args.t_predict:g}",
+        out / "manifest.json", cfg, (args.reference, args.target_partial),
         extras={"t_match": args.t_match, "t_predict": args.t_predict},
     )
-    write_manifest(manifest, out / "manifest.json")
-    print(outcome)
-    return 0
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_distance(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
     reference = load_template(args.reference)
     target = load_template(args.target)
-    out = _out_dir(args, "distance")
+    out = _out_dir(args)
     record = shape_distance(reference, target, cfg)
-    (out / "distance.json").write_text(
-        json.dumps(
-            {
-                "reference": record.reference_label,
-                "target": record.target_label,
-                "H": record.H,
-                "iterations": record.iterations,
-                "converged": record.converged,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_json(_distance_doc(record), out / "distance.json")
     outcome = (
         f"H = {record.H:.6g} in {record.iterations} iterations"
         if record.converged
         else f"did not converge within {cfg.max_iter} iterations"
     )
-    manifest = _manifest(args, t0, outcome, cfg, inputs=[args.reference, args.target]
-    )
-    write_manifest(manifest, out / "manifest.json")
-    print(outcome)
-    return 0 if record.converged else 1
+    return _Run(outcome, out / "manifest.json", cfg, (args.reference, args.target),
+                ok=record.converged)
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_cluster(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
     a = load_template(args.a)
     b = load_template(args.b)
     refs = [load_template(p) for p in args.refs]
-    out = _out_dir(args, "cluster")
+    out = _out_dir(args)
     verdict = cluster_test(
         a, b, refs,
         {"pair": args.pair_threshold, "ref_diff": args.ref_diff_threshold},
         cfg, preprocess=args.preprocess,
     )
-    (out / "verdict.json").write_text(
-        json.dumps(
-            {
-                "same_cluster": verdict.same_cluster,
-                "evidence": [
-                    {
-                        "reference": r.reference_label,
-                        "target": r.target_label,
-                        "H": r.H,
-                        "iterations": r.iterations,
-                        "converged": r.converged,
-                    }
-                    for r in verdict.evidence
-                ],
-            },
-            indent=2,
-        )
-        + "\n"
+    _write_json(
+        {
+            "same_cluster": verdict.same_cluster,
+            "evidence": [_distance_doc(r) for r in verdict.evidence],
+        },
+        out / "verdict.json",
     )
     if verdict.same_cluster is None:
         outcome = "inconclusive: a match did not converge"
     else:
         outcome = f"same_cluster = {verdict.same_cluster}"
-    manifest = _manifest(args, t0, outcome, cfg,
-        inputs=[args.a, args.b, *args.refs],
+    return _Run(
+        outcome, out / "manifest.json", cfg, (args.a, args.b, *args.refs),
+        ok=verdict.same_cluster is not None,
         extras={
             "pair_threshold": args.pair_threshold,
             "ref_diff_threshold": args.ref_diff_threshold,
             "preprocess": args.preprocess,
         },
     )
-    write_manifest(manifest, out / "manifest.json")
-    print(outcome)
-    return 0 if verdict.same_cluster is not None else 1
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_sweep(args: argparse.Namespace) -> _Run:
     grid = SweepGrid(
         alpha2_values=args.alpha2,
         h_values=args.h_values,
@@ -308,11 +281,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tolerance=args.tol,
         max_iter=args.max_iter,
     )
-    inputs = []
+    inputs = ()
     if args.reference and args.target:
         reference = load_template(args.reference)
         target = load_template(args.target)
-        inputs = [args.reference, args.target]
+        inputs = (args.reference, args.target)
     elif args.reference or args.target:
         raise ConfigurationError("--reference and --target must be given together")
     else:
@@ -321,7 +294,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         target = standard_rotated_ellipse(
             4.0, 1.0, -math.pi / 4, (1.0, 0.0), args.n
         )
-    out = _out_dir(args, "sweep")
+    out = _out_dir(args)
     matrix = convergence_sweep(reference, target, grid)
     write_sweep_csv(grid, matrix, out / "sweep.csv")
     save_svg(heatmap_svg(grid, matrix), out / "sweep.svg")
@@ -330,22 +303,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{matrix.size - diverged}/{matrix.size} cells converged"
         + (f", {diverged} diverged" if diverged else "")
     )
-    manifest = _manifest(args, t0, outcome, inputs=inputs,
-        extras={
-            "grid": {
-                "alpha2_values": list(grid.alpha2_values),
-                "h_values": list(grid.h_values),
-                "n_landmarks": grid.n_landmarks,
-                "kernel_family": grid.kernel_family.value,
-                "tolerance": grid.tolerance,
-                "max_iter": grid.max_iter,
-            },
-            "pair": [reference.label, target.label],
-        },
+    return _Run(
+        outcome, out / "manifest.json", inputs=inputs,
+        extras={"grid": grid, "pair": [reference.label, target.label]},
     )
-    write_manifest(manifest, out / "manifest.json")
-    print(outcome)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,17 +393,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.raw_argv = argv
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.run(args)
-    except ConfigurationError as exc:
+        run = args.run(args)
+        extras = dict(run.extras or {})
+        if getattr(args, "seed", None) is not None:
+            extras["seed"] = args.seed
+        manifest = RunManifest(
+            command=shlex.join(["geoshoot", *argv]),
+            version=__version__,
+            config=config_echo(run.config) if run.config is not None else {},
+            inputs={str(p): sha256_digest(p) for p in run.inputs},
+            wall_time_s=time.perf_counter() - t0,
+            outcome=run.outcome,
+            extras=extras,
+        )
+        write_manifest(manifest, run.manifest)
+    except (ConfigurationError, OSError) as exc:
+        # Bad input, bad configuration, or an output path that cannot
+        # be created or written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeoshootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(run.shown or run.outcome)
+    return 0 if run.ok else 1
 
 
 if __name__ == "__main__":

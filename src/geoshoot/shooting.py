@@ -192,44 +192,116 @@ def momenta_from_velocity(kernel: KernelSpec, q0, u0) -> np.ndarray:
     return _GramSolver(kernel, q0).solve(u0)
 
 
-def _blown_up(value: float, initial: float) -> bool:
-    return initial > 0 and value > _BLOWUP_FACTOR * initial
+def _shoot(cfg: ShootingConfig, q0: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Endpoint at t_final of the geodesic with initial momenta ``p``."""
+    return evolve(cfg.system, ParticleState(q0, p), cfg.evolve).final.q
 
 
-def _result(
-    q0: np.ndarray,
-    p: np.ndarray,
-    history: list,
-    converged: bool,
-    system: SystemSpec,
-    endpoint: np.ndarray,
-    target: LandmarkTemplate,
+def _newton_direction(
+    shoot, x: np.ndarray, endpoint: np.ndarray, residual: np.ndarray
+) -> np.ndarray:
+    """Full Newton step J^-1 r of the endpoint map ``shoot`` at ``x``.
+
+    J is built by forward differences off the current endpoint, one
+    shoot per column.  Where J is singular or a probe cannot be
+    evaluated, the residual itself is returned: one feedback update.
+    """
+    step = 1e-5 * max(1.0, float(np.max(np.abs(x))))
+    jac = np.empty((x.size, x.size))
+    try:
+        for j in range(x.size):
+            probe = np.zeros(x.shape)
+            probe.flat[j] = step
+            jac[:, j] = ((shoot(x + probe) - endpoint) / step).ravel()
+        newton_step = np.linalg.solve(jac, residual.ravel())
+        if not np.all(np.isfinite(newton_step)):
+            raise np.linalg.LinAlgError("non-finite Newton step")
+    except (np.linalg.LinAlgError, DivergenceError, DegenerateConfigurationError):
+        return residual
+    return newton_step.reshape(x.shape)
+
+
+def _drive(
     reference: LandmarkTemplate,
-    norm_kind: ResidualNorm,
-    diagnosis: str | None,
-    warnings: tuple,
+    target: LandmarkTemplate,
+    cfg: ShootingConfig,
+    velocity: bool,
+    newton: bool,
 ) -> MatchResult:
-    state0 = ParticleState(q0, p)
-    final = LandmarkTemplate(endpoint, f"{reference.label}>{target.label}")
-    return MatchResult(
-        p0=p,
-        iterations=len(history),
-        converged=converged,
-        residual_history=tuple(history),
-        hamiltonian=hamiltonian(system, state0),
-        final_template=final,
-        final_residual=_norm(norm_kind, target.points - endpoint),
-        diagnosis=diagnosis,
-        warnings=warnings,
-    )
+    """The shooting iteration behind :func:`match` and :func:`newton_match`.
 
-
-def _prepare(reference: LandmarkTemplate, target: LandmarkTemplate) -> None:
+    The iterate x is the initial velocity u (``velocity``: the Gram
+    solve maps it to momenta) or the momenta p themselves.  It starts
+    at 0 and moves by h times a direction: the endpoint residual r, or
+    the Newton step J^-1 r (``newton``).  The stopping norm is |r|, or
+    for MomentumDelta h * |r|, which is the iterate's move only under
+    the feedback update; so Newton takes only the residual rule.
+    """
     if reference.n != target.n:
         raise ConfigurationError(
             f"templates must have equal landmark counts: "
             f"{reference.n} (reference) vs {target.n} (target)"
         )
+    if newton and cfg.stop_rule is not StopRule.TARGET_RESIDUAL:
+        raise ConfigurationError("newton_match supports only the TargetResidual rule")
+    q0 = reference.points
+    solver = _GramSolver(cfg.system.kernel, q0) if velocity else None
+    to_momenta = solver.solve if velocity else (lambda x: x)
+    shoot = lambda x: _shoot(cfg, q0, to_momenta(x))
+    residual_rule = cfg.stop_rule is StopRule.TARGET_RESIDUAL
+
+    x = np.zeros(q0.shape)
+    p = np.zeros(q0.shape)
+    endpoint = _shoot(cfg, q0, p)
+    residual = target.points - endpoint
+    history: list = []
+
+    def finish(converged: bool, diagnosis: str | None = None) -> MatchResult:
+        return MatchResult(
+            p0=p,
+            iterations=len(history),
+            converged=converged,
+            residual_history=tuple(history),
+            hamiltonian=hamiltonian(cfg.system, ParticleState(q0, p)),
+            final_template=LandmarkTemplate(
+                endpoint, f"{reference.label}>{target.label}"
+            ),
+            final_residual=_norm(cfg.norm, target.points - endpoint),
+            diagnosis=diagnosis,
+            warnings=solver.warnings() if velocity else (),
+        )
+
+    initial = _norm(cfg.norm, residual) if residual_rule else None
+    if residual_rule and initial < cfg.epsilon:
+        return finish(True)
+
+    for _ in range(cfg.max_iter):
+        if not residual_rule:
+            value = cfg.h * _norm(cfg.norm, residual)
+        if newton:
+            x = x + cfg.h * _newton_direction(shoot, x, endpoint, residual)
+        else:
+            x = x + cfg.h * residual
+        p = to_momenta(x)
+        try:
+            endpoint = _shoot(cfg, q0, p)
+        except (DivergenceError, DegenerateConfigurationError) as exc:
+            # endpoint still holds the last finite shoot.
+            return finish(False, f"step too large ({exc})")
+        residual = target.points - endpoint
+        if residual_rule:
+            value = _norm(cfg.norm, residual)
+        elif initial is None:
+            initial = value
+        history.append(value)
+
+        blown_up = initial > 0 and value > _BLOWUP_FACTOR * initial
+        if not math.isfinite(value) or blown_up:
+            return finish(False, "step too large")
+        if value < cfg.epsilon:
+            return finish(True)
+
+    return finish(False, "iteration cap reached before the stopping rule")
 
 
 def match(
@@ -246,71 +318,8 @@ def match(
     converged = False and diagnosis "step too large" rather than an
     exception; hitting max_iter just reports converged = False.
     """
-    _prepare(reference, target)
-    q0 = reference.points
-    n = reference.n
-    velocity_mode = cfg.update_space is UpdateSpace.VELOCITY
-    solver = _GramSolver(cfg.system.kernel, q0) if velocity_mode else None
-    warnings = solver.warnings() if solver is not None else ()
-
-    u = np.zeros((n, 2))
-    p = np.zeros((n, 2))
-    endpoint = evolve(cfg.system, ParticleState(q0, p), cfg.evolve).final.q
-    residual = target.points - endpoint
-
-    history: list = []
-    initial_norm = None
-    if cfg.stop_rule is StopRule.TARGET_RESIDUAL:
-        initial_norm = _norm(cfg.norm, residual)
-        if initial_norm < cfg.epsilon:
-            return _result(
-                q0, p, history, True, cfg.system, endpoint, target, reference,
-                cfg.norm, None, warnings,
-            )
-
-    for _ in range(cfg.max_iter):
-        # The iterate moves by exactly h * residual in its own space, and
-        # that change is what the MomentumDelta rule measures.
-        delta = cfg.h * _norm(cfg.norm, residual)
-        if velocity_mode:
-            u = u + cfg.h * residual
-            p = solver.solve(u)
-        else:
-            p = p + cfg.h * residual
-
-        try:
-            endpoint = evolve(cfg.system, ParticleState(q0, p), cfg.evolve).final.q
-        except (DivergenceError, DegenerateConfigurationError) as exc:
-            # endpoint still holds the last finite evolution result.
-            return _result(
-                q0, p, history, False, cfg.system, endpoint, target, reference,
-                cfg.norm, f"step too large ({exc})", warnings,
-            )
-        residual = target.points - endpoint
-
-        if cfg.stop_rule is StopRule.TARGET_RESIDUAL:
-            value = _norm(cfg.norm, residual)
-        else:
-            value = delta
-            if initial_norm is None:
-                initial_norm = value
-        history.append(value)
-
-        if not math.isfinite(value) or _blown_up(value, initial_norm):
-            return _result(
-                q0, p, history, False, cfg.system, endpoint, target, reference,
-                cfg.norm, "step too large", warnings,
-            )
-        if value < cfg.epsilon:
-            return _result(
-                q0, p, history, True, cfg.system, endpoint, target, reference,
-                cfg.norm, None, warnings,
-            )
-
-    return _result(
-        q0, p, history, False, cfg.system, endpoint, target, reference,
-        cfg.norm, "iteration cap reached before the stopping rule", warnings,
-    )
+    velocity = cfg.update_space is UpdateSpace.VELOCITY
+    return _drive(reference, target, cfg, velocity, newton=False)
 
 
 def contraction_diagnostics(result: MatchResult) -> list:
@@ -332,10 +341,6 @@ def contraction_diagnostics(result: MatchResult) -> list:
     ]
 
 
-def _endpoint_of(cfg: ShootingConfig, q0: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return evolve(cfg.system, ParticleState(q0, p), cfg.evolve).final.q
-
-
 def newton_match(
     reference: LandmarkTemplate, target: LandmarkTemplate, cfg: ShootingConfig
 ) -> MatchResult:
@@ -348,71 +353,4 @@ def newton_match(
     that the feedback loop avoids all of them.  Only the
     endpoint-residual stop rule is meaningful here.
     """
-    _prepare(reference, target)
-    if cfg.stop_rule is not StopRule.TARGET_RESIDUAL:
-        raise ConfigurationError("newton_match supports only the TargetResidual rule")
-    q0 = reference.points
-    n = reference.n
-    solver = _GramSolver(cfg.system.kernel, q0)
-    warnings = solver.warnings()
-
-    def shoot(u_flat: np.ndarray) -> np.ndarray:
-        p = solver.solve(u_flat.reshape(n, 2))
-        return _endpoint_of(cfg, q0, p).ravel()
-
-    u = np.zeros(2 * n)
-    endpoint = shoot(u)
-    residual = target.points.ravel() - endpoint
-    initial_norm = _norm(cfg.norm, residual)
-    history: list = []
-    if initial_norm < cfg.epsilon:
-        return _result(
-            q0, solver.solve(u.reshape(n, 2)), history, True, cfg.system,
-            endpoint.reshape(n, 2), target, reference, cfg.norm, None, warnings,
-        )
-
-    for _ in range(cfg.max_iter):
-        step = 1e-5 * max(1.0, float(np.max(np.abs(u))))
-        jac = np.empty((2 * n, 2 * n))
-        try:
-            for j in range(2 * n):
-                probe = np.zeros(2 * n)
-                probe[j] = step
-                jac[:, j] = (shoot(u + probe) - endpoint) / step
-            newton_step = np.linalg.solve(jac, residual)
-            if not np.all(np.isfinite(newton_step)):
-                raise np.linalg.LinAlgError("non-finite Newton step")
-        except (np.linalg.LinAlgError, DivergenceError, DegenerateConfigurationError):
-            # Singular or unevaluable Jacobian: take one feedback update.
-            newton_step = residual
-        u = u + cfg.h * newton_step
-
-        try:
-            endpoint = shoot(u)
-        except (DivergenceError, DegenerateConfigurationError) as exc:
-            # endpoint still holds the last finite shoot.
-            return _result(
-                q0, solver.solve(u.reshape(n, 2)), history, False, cfg.system,
-                endpoint.reshape(n, 2), target, reference, cfg.norm,
-                f"step too large ({exc})", warnings,
-            )
-        residual = target.points.ravel() - endpoint
-        value = _norm(cfg.norm, residual)
-        history.append(value)
-        if not math.isfinite(value) or _blown_up(value, initial_norm):
-            return _result(
-                q0, solver.solve(u.reshape(n, 2)), history, False, cfg.system,
-                endpoint.reshape(n, 2), target, reference, cfg.norm,
-                "step too large", warnings,
-            )
-        if value < cfg.epsilon:
-            return _result(
-                q0, solver.solve(u.reshape(n, 2)), history, True, cfg.system,
-                endpoint.reshape(n, 2), target, reference, cfg.norm, None, warnings,
-            )
-
-    return _result(
-        q0, solver.solve(u.reshape(n, 2)), history, False, cfg.system,
-        endpoint.reshape(n, 2), target, reference, cfg.norm,
-        "iteration cap reached before the stopping rule", warnings,
-    )
+    return _drive(reference, target, cfg, velocity=True, newton=True)

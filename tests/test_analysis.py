@@ -153,6 +153,13 @@ def test_sweep_counts_and_divergence_cells():
     assert np.all(mat[:, 2] == DIVERGED)
 
 
+def test_sweep_rejects_unequal_landmark_counts():
+    # A bad pair is a configuration error, not a grid of diverged cells.
+    grid = SweepGrid(alpha2_values=(1.0,), h_values=(0.5,), n_landmarks=16)
+    with pytest.raises(ConfigurationError, match="equal landmark counts"):
+        convergence_sweep(circle(2.0, n=16), circle(2.0, n=12), grid)
+
+
 def test_sweep_grid_validation():
     with pytest.raises(ConfigurationError):
         SweepGrid(alpha2_values=(), h_values=(0.1,))

@@ -249,6 +249,31 @@ def test_sweep_needs_both_templates_or_neither(tmp_path, pair, capsys):
     assert "together" in capsys.readouterr().err
 
 
+def test_sweep_with_unequal_landmark_counts_exits_2(tmp_path, capsys):
+    ref = save_template(circle(2.0, n=16), tmp_path / "c16.json")
+    tgt = save_template(circle(2.0, n=12), tmp_path / "c12.json")
+    code = main(
+        ["sweep", "--reference", str(ref), "--target", str(tgt),
+         "--alpha2", "1.0", "--h-values", "0.5", "--out", str(tmp_path / "sw")]
+    )
+    assert code == 2
+    assert "equal landmark counts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["shapes", "match"])
+def test_unusable_output_path_exits_2(tmp_path, pair, capsys, command):
+    ref, tgt = pair
+    if command == "shapes":
+        missing = tmp_path / "missing" / "dir" / "c.json"
+        argv = ["shapes", "circle", "--out", str(missing)]
+    else:
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        argv = ["match", str(ref), str(tgt), *QUICK, "--out", str(taken)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

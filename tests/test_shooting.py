@@ -42,8 +42,9 @@ def quick_cfg(**kw):
     return ShootingConfig(**kw)
 
 
-def test_self_match_is_a_fixed_point():
-    result = match(REF, REF, quick_cfg())
+@pytest.mark.parametrize("solve", [match, newton_match])
+def test_self_match_is_a_fixed_point(solve):
+    result = solve(REF, REF, quick_cfg())
     assert result.converged
     assert result.iterations == 0
     assert result.residual_history == ()
@@ -141,16 +142,18 @@ def test_larger_h_contracts_faster():
     assert factors[0] > factors[1] > factors[2]
 
 
-def test_oversized_gain_reports_step_too_large():
+@pytest.mark.parametrize("solve", [match, newton_match])
+def test_oversized_gain_reports_step_too_large(solve):
     cfg = quick_cfg(h=2.0, epsilon=1e-3, evolve=EvolveConfig(steps=60))
-    result = match(circle(2.0, n=16), heart4(n=16), cfg)
+    result = solve(circle(2.0, n=16), heart4(n=16), cfg)
     assert not result.converged
     assert "step too large" in result.diagnosis
     assert np.all(np.isfinite(result.p0))
 
 
-def test_iteration_cap_reported():
-    result = match(REF, TGT, quick_cfg(max_iter=2))
+@pytest.mark.parametrize("solve", [match, newton_match])
+def test_iteration_cap_reported(solve):
+    result = solve(REF, TGT, quick_cfg(max_iter=2))
     assert not result.converged
     assert result.iterations == 2
     assert "cap" in result.diagnosis
