@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateConfigurationError, DivergenceError
+from .errors import (
+    ConfigurationError,
+    DegenerateConfigurationError,
+    DivergenceError,
+    require_count,
+    require_positive,
+)
 from .integrator import EvolveConfig, evolve
 from .kernels import KernelFamily, KernelSpec
 from .particles import ParticleState, SystemSpec
@@ -61,18 +67,11 @@ class SweepGrid:
         if not self.alpha2_values or not self.h_values:
             raise ConfigurationError("sweep axes must be non-empty")
         for name, vals in (("alpha2", self.alpha2_values), ("h", self.h_values)):
-            if any(not (v > 0 and math.isfinite(v)) for v in vals):
-                raise ConfigurationError(f"{name} values must be positive, got {vals}")
-        if self.n_landmarks < 3:
-            raise ConfigurationError(
-                f"n_landmarks must be >= 3, got {self.n_landmarks}"
-            )
-        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
-            raise ConfigurationError(
-                f"tolerance must be positive, got {self.tolerance}"
-            )
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
+            for v in vals:
+                require_positive(f"each {name} value", v)
+        require_count("n_landmarks", self.n_landmarks, 3)
+        require_positive("tolerance", self.tolerance)
+        require_count("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,8 @@ def cluster_test(
         raise ConfigurationError(f"thresholds missing {sorted(missing)}")
     pair_thr = float(thresholds["pair"])
     ref_thr = float(thresholds["ref_diff"])
-    if not (pair_thr > 0 and ref_thr > 0):
-        raise ConfigurationError("thresholds must be positive")
+    require_positive("the pair threshold", pair_thr)
+    require_positive("the ref_diff threshold", ref_thr)
 
     if preprocess:
         a, b = _normalized(a), _normalized(b)
@@ -348,8 +347,6 @@ def exact_vs_inexact(
     rows = [_exactness_row(reference, target, 0.0, exact_cfg)]
     for sigma2 in sigma2_values:
         s2 = float(sigma2)
-        if s2 < 0:
-            raise ConfigurationError(f"sigma2 must be >= 0, got {s2}")
         h = cfg.h if h_by_sigma2 is None else float(h_by_sigma2.get(s2, cfg.h))
         inexact_cfg = replace(
             cfg,

@@ -15,7 +15,6 @@ path that cannot be created or written.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import shlex
 import sys
@@ -26,7 +25,6 @@ from typing import NamedTuple
 from . import __version__
 from .analysis import (
     DIVERGED,
-    DistanceRecord,
     SweepGrid,
     cluster_test,
     convergence_sweep,
@@ -39,6 +37,8 @@ from .io import (
     RunManifest,
     config_echo,
     load_template,
+    save_cluster_verdict,
+    save_distance,
     save_match_result,
     save_template,
     sha256_digest,
@@ -125,20 +125,6 @@ class _Run(NamedTuple):
     shown: str | None = None
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def _distance_doc(record: DistanceRecord) -> dict:
-    return {
-        "reference": record.reference_label,
-        "target": record.target_label,
-        "H": record.H,
-        "iterations": record.iterations,
-        "converged": record.converged,
-    }
-
-
 # name -> (builder, parameter names pulled from the CLI namespace)
 _SHAPES = {
     "circle": (
@@ -185,9 +171,9 @@ def _cmd_match(args: argparse.Namespace) -> _Run:
     capture = EvolveConfig(cfg.evolve.t_final, cfg.evolve.steps, args.capture_every)
     reference = load_template(args.reference)
     target = load_template(args.target)
-    out = _out_dir(args)
 
     result = match(reference, target, cfg)
+    out = _out_dir(args)
     save_match_result(result, out / "result.json", cfg)
     write_residual_csv(result.residual_history, out / "residuals.csv")
     if capture.capture_every > 0:
@@ -213,8 +199,8 @@ def _cmd_predict(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
     reference = load_template(args.reference)
     partial = load_template(args.target_partial)
-    out = _out_dir(args)
     predicted = predict(reference, partial, args.t_match, args.t_predict, cfg)
+    out = _out_dir(args)
     save_template(predicted, out / "predicted.json")
     return _Run(
         f"predicted {predicted.n} landmarks at t = {args.t_predict:g}",
@@ -227,9 +213,9 @@ def _cmd_distance(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
     reference = load_template(args.reference)
     target = load_template(args.target)
-    out = _out_dir(args)
     record = shape_distance(reference, target, cfg)
-    _write_json(_distance_doc(record), out / "distance.json")
+    out = _out_dir(args)
+    save_distance(record, out / "distance.json")
     outcome = (
         f"H = {record.H:.6g} in {record.iterations} iterations"
         if record.converged
@@ -244,19 +230,13 @@ def _cmd_cluster(args: argparse.Namespace) -> _Run:
     a = load_template(args.a)
     b = load_template(args.b)
     refs = [load_template(p) for p in args.refs]
-    out = _out_dir(args)
     verdict = cluster_test(
         a, b, refs,
         {"pair": args.pair_threshold, "ref_diff": args.ref_diff_threshold},
         cfg, preprocess=args.preprocess,
     )
-    _write_json(
-        {
-            "same_cluster": verdict.same_cluster,
-            "evidence": [_distance_doc(r) for r in verdict.evidence],
-        },
-        out / "verdict.json",
-    )
+    out = _out_dir(args)
+    save_cluster_verdict(verdict, out / "verdict.json")
     if verdict.same_cluster is None:
         outcome = "inconclusive: a match did not converge"
     else:
@@ -273,14 +253,6 @@ def _cmd_cluster(args: argparse.Namespace) -> _Run:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> _Run:
-    grid = SweepGrid(
-        alpha2_values=args.alpha2,
-        h_values=args.h_values,
-        n_landmarks=args.n,
-        kernel_family=args.kernel,
-        tolerance=args.tol,
-        max_iter=args.max_iter,
-    )
     inputs = ()
     if args.reference and args.target:
         reference = load_template(args.reference)
@@ -294,8 +266,16 @@ def _cmd_sweep(args: argparse.Namespace) -> _Run:
         target = standard_rotated_ellipse(
             4.0, 1.0, -math.pi / 4, (1.0, 0.0), args.n
         )
-    out = _out_dir(args)
+    grid = SweepGrid(
+        alpha2_values=args.alpha2,
+        h_values=args.h_values,
+        n_landmarks=reference.n,
+        kernel_family=args.kernel,
+        tolerance=args.tol,
+        max_iter=args.max_iter,
+    )
     matrix = convergence_sweep(reference, target, grid)
+    out = _out_dir(args)
     write_sweep_csv(grid, matrix, out / "sweep.csv")
     save_svg(heatmap_svg(grid, matrix), out / "sweep.svg")
     diverged = int((matrix == DIVERGED).sum())
@@ -373,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="convergence sweep over the alpha^2 x h plane")
     p.add_argument("--kernel", choices=["conical", "gaussian", "bessel"],
                    default="conical")
-    p.add_argument("--n", type=int, default=16, help="landmark count")
+    p.add_argument("--n", type=int, default=16,
+                   help="landmark count of the built-in pair; template files "
+                   "set their own")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--alpha2", type=float, nargs="+",

@@ -15,12 +15,16 @@ final state it returns.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateConfigurationError, DivergenceError
+from .errors import (
+    DegenerateConfigurationError,
+    DivergenceError,
+    require_count,
+    require_positive,
+)
 from .particles import ParticleState, SystemSpec, _rhs
 
 __all__ = ["EvolveConfig", "EvolveResult", "evolve"]
@@ -40,17 +44,9 @@ class EvolveConfig:
     capture_every: int = 0
 
     def __post_init__(self):
-        if not (self.t_final > 0 and np.isfinite(self.t_final)):
-            raise ConfigurationError(f"t_final must be positive, got {self.t_final}")
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
-            raise ConfigurationError(
-                f"steps must be an integer >= 1, got {self.steps!r}"
-            )
-        every = self.capture_every
-        if not isinstance(every, numbers.Integral) or every < 0:
-            raise ConfigurationError(
-                f"capture_every must be an integer >= 0, got {every!r}"
-            )
+        require_positive("t_final", self.t_final)
+        require_count("steps", self.steps, 1)
+        require_count("capture_every", self.capture_every, 0)
 
 
 @dataclass(frozen=True)

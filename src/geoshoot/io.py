@@ -1,8 +1,10 @@
-"""File formats: template and result JSON, trajectory/sweep CSV, manifests.
+"""File formats: template, result, distance and verdict JSON,
+residual/trajectory/sweep CSV, manifests.  Every JSON and CSV file the
+package writes goes through this module's one writer for its format.
 
-Every JSON document carries a schema tag.  Readers reject tags they do
-not know instead of guessing; documents without a tag are read as the
-current version so hand-written files stay usable.
+Templates, match results and manifests carry a schema tag.  Readers
+reject tags they do not know instead of guessing; documents without a
+tag are read as the current version so hand-written files stay usable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DIVERGED, SweepGrid
+from .analysis import DIVERGED, ClusterVerdict, DistanceRecord, SweepGrid
 from .errors import ConfigurationError
 from .shapes import LandmarkTemplate
 from .shooting import MatchResult, ShootingConfig
@@ -33,6 +35,8 @@ __all__ = [
     "template_from_dict",
     "match_result_to_dict",
     "save_match_result",
+    "save_distance",
+    "save_cluster_verdict",
     "write_residual_csv",
     "write_trajectory_csv",
     "write_sweep_csv",
@@ -61,6 +65,23 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
+
+
+def _write_json(doc: dict, path) -> Path:
+    """The one JSON writer: two-space indent and a final newline."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return path
+
+
+def _write_csv(header: list, rows, path) -> Path:
+    """The one CSV writer: a header row, then ``rows``."""
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _check_schema(doc: dict, expected: str, path) -> None:
@@ -94,9 +115,7 @@ def template_from_dict(doc: dict, path="<memory>") -> LandmarkTemplate:
 
 
 def save_template(t: LandmarkTemplate, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(template_to_dict(t), indent=2) + "\n")
-    return path
+    return _write_json(template_to_dict(t), path)
 
 
 def load_template(path) -> LandmarkTemplate:
@@ -135,34 +154,46 @@ def match_result_to_dict(result: MatchResult, cfg: ShootingConfig | None = None)
 def save_match_result(
     result: MatchResult, path, cfg: ShootingConfig | None = None
 ) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(match_result_to_dict(result, cfg), indent=2) + "\n")
-    return path
+    return _write_json(match_result_to_dict(result, cfg), path)
+
+
+def _distance_doc(record: DistanceRecord) -> dict:
+    """The keys of ``distance.json`` and of each piece of a cluster
+    verdict's evidence."""
+    return {
+        "reference": record.reference_label,
+        "target": record.target_label,
+        "H": record.H,
+        "iterations": record.iterations,
+        "converged": record.converged,
+    }
+
+
+def save_distance(record: DistanceRecord, path) -> Path:
+    return _write_json(_distance_doc(record), path)
+
+
+def save_cluster_verdict(verdict: ClusterVerdict, path) -> Path:
+    doc = {
+        "same_cluster": verdict.same_cluster,
+        "evidence": [_distance_doc(r) for r in verdict.evidence],
+    }
+    return _write_json(doc, path)
 
 
 def write_residual_csv(history, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "stopping_norm"])
-        for k, value in enumerate(history, start=1):
-            writer.writerow([k, f"{value:.17g}"])
-    return path
+    rows = ([k, f"{value:.17g}"] for k, value in enumerate(history, start=1))
+    return _write_csv(["iteration", "stopping_norm"], rows, path)
 
 
 def write_trajectory_csv(frames, path) -> Path:
     """One row per (frame, landmark): t, i, qx, qy, px, py."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "qx", "qy", "px", "py"])
-        for t, state in frames:
-            for i in range(state.q.shape[0]):
-                writer.writerow(
-                    [f"{t:.17g}", i]
-                    + [f"{v:.17g}" for v in (*state.q[i], *state.p[i])]
-                )
-    return path
+    rows = (
+        [f"{t:.17g}", i] + [f"{v:.17g}" for v in (*state.q[i], *state.p[i])]
+        for t, state in frames
+        for i in range(state.q.shape[0])
+    )
+    return _write_csv(["t", "i", "qx", "qy", "px", "py"], rows, path)
 
 
 def write_sweep_csv(grid: SweepGrid, matrix: np.ndarray, path) -> Path:
@@ -171,23 +202,22 @@ def write_sweep_csv(grid: SweepGrid, matrix: np.ndarray, path) -> Path:
     Diverged cells leave the iterations column empty rather than
     carrying the in-memory sentinel into the file.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha2", "h", "iterations", "converged"])
-        for i, alpha2 in enumerate(grid.alpha2_values):
-            for j, h in enumerate(grid.h_values):
-                cell = int(matrix[i, j])
-                diverged = cell == DIVERGED
-                writer.writerow(
-                    [
-                        f"{alpha2:g}",
-                        f"{h:g}",
-                        "" if diverged else cell,
-                        str(not diverged).lower(),
-                    ]
-                )
-    return path
+
+    def row(alpha2, h, cell):
+        diverged = cell == DIVERGED
+        return [
+            f"{alpha2:g}",
+            f"{h:g}",
+            "" if diverged else cell,
+            str(not diverged).lower(),
+        ]
+
+    rows = (
+        row(alpha2, h, int(matrix[i, j]))
+        for i, alpha2 in enumerate(grid.alpha2_values)
+        for j, h in enumerate(grid.h_values)
+    )
+    return _write_csv(["alpha2", "h", "iterations", "converged"], rows, path)
 
 
 def config_echo(cfg: ShootingConfig) -> dict:
@@ -222,7 +252,4 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path) -> Path:
-    path = Path(path)
-    doc = {"schema": MANIFEST_SCHEMA, **_plain(manifest)}
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
+    return _write_json({"schema": MANIFEST_SCHEMA, **_plain(manifest)}, path)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _besselk
 
-from .errors import ConfigurationError, DegenerateConfigurationError
+from .errors import ConfigurationError, DegenerateConfigurationError, require_positive
 
 __all__ = [
     "KernelFamily",
@@ -65,10 +65,8 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", KernelFamily(self.family))
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ConfigurationError(f"nu must be positive, got {self.nu}")
+        require_positive("alpha", self.alpha)
+        require_positive("nu", self.nu)
         if self.family is KernelFamily.BESSEL:
             if self.nu <= 1:
                 raise ConfigurationError(
@@ -172,6 +170,22 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
+def as_points(points, name: str = "points", n: int | None = None) -> np.ndarray:
+    """``points`` as a float (N, 2) array with finite entries and N >= 1,
+    or N = ``n`` when given.
+
+    The one check every planar point set passes at the package boundary;
+    a bad array raises ValueError.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1 or n not in (None, len(pts)):
+        want = "(N, 2)" if n is None else f"(N, 2) with N = {n}"
+        raise ValueError(f"{name} must have shape {want}, got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{name} has non-finite entries")
+    return pts
+
+
 def pairwise_distances(points, others=None) -> np.ndarray:
     """Matrix of Euclidean distances from planar ``points`` to ``others``
     (to ``points`` themselves by default, giving a symmetric matrix).
@@ -189,26 +203,39 @@ def pairwise_distances(points, others=None) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
+def coincident_pair(dist: np.ndarray, start: int = 0):
+    """First coincident pair (i, j), i != j, in a row block of distances.
+
+    ``dist`` holds the distances from points start, start + 1, ... to
+    all N points of a finite set.  Each row's own point is its one
+    expected zero, at (i, start + i); any other zero is a coincident
+    pair, returned in global indices.  None when there is none.
+    """
+    if np.count_nonzero(dist) >= dist.size - len(dist):
+        return None
+    zero = dist == 0.0
+    zero.reshape(-1)[start :: dist.shape[1] + 1] = False
+    i, j = np.argwhere(zero)[0]
+    return start + i, j
+
+
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     """Kernel matrix K[i, j] = G(|x_i - x_j|) over a planar point set.
 
     Points must be pairwise distinct; coincident points would make the
     matrix singular and are rejected.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
+    pts = as_points(points)
     n = len(pts)
     rows = _block_rows(n)
     kmat = np.empty((n, n))
     for s in range(0, n, rows):
         dist = pairwise_distances(pts[s : s + rows], pts)
-        # Each row's own point is its one expected zero, at (i, s + i).
-        if np.count_nonzero(dist) < dist.size - len(dist):
-            dist.reshape(-1)[s :: n + 1] = np.inf
-            i, j = np.argwhere(dist == 0.0)[0]
+        pair = coincident_pair(dist, s)
+        if pair is not None:
             raise DegenerateConfigurationError(
-                f"points {s + i} and {j} coincide; Gram matrix would be singular"
+                f"points {pair[0]} and {pair[1]} coincide; "
+                "Gram matrix would be singular"
             )
         kmat[s : s + rows] = kernel_value(spec, dist)
     return kmat

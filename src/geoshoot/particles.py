@@ -35,6 +35,7 @@ from .kernels import (
     KernelSpec,
     _kernel_terms,
     _block_rows,
+    as_points,
     kernel_value,
     pairwise_distances,
 )
@@ -50,13 +51,6 @@ __all__ = [
 ]
 
 
-def _as_points(arr, name: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    if out.ndim != 2 or out.shape[1] != 2 or out.shape[0] < 1:
-        raise ValueError(f"{name} must have shape (N, 2), got {out.shape}")
-    return out
-
-
 @dataclass(frozen=True)
 class ParticleState:
     """Positions and momenta of N planar particles at one instant."""
@@ -65,12 +59,8 @@ class ParticleState:
     p: np.ndarray
 
     def __post_init__(self):
-        q = _as_points(self.q, "q")
-        p = _as_points(self.p, "p")
-        if q.shape != p.shape:
-            raise ValueError(f"q and p must match in shape: {q.shape} vs {p.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError("state contains non-finite entries")
+        q = as_points(self.q, "q")
+        p = as_points(self.p, "p", n=len(q))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 

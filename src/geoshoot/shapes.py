@@ -20,8 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateConfigurationError
-from .kernels import pairwise_distances
+from .errors import (
+    ConfigurationError,
+    DegenerateConfigurationError,
+    require_count,
+    require_positive,
+)
+from .kernels import as_points, coincident_pair, pairwise_distances
 
 __all__ = [
     "LandmarkTemplate",
@@ -44,17 +49,11 @@ class LandmarkTemplate:
     label: str = ""
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-            raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite entries")
-        dist = pairwise_distances(pts)
-        np.fill_diagonal(dist, np.inf)
-        if np.any(dist == 0.0):
-            i, j = np.argwhere(dist == 0.0)[0]
+        pts = as_points(self.points)
+        pair = coincident_pair(pairwise_distances(pts))
+        if pair is not None:
             raise DegenerateConfigurationError(
-                f"landmarks {i} and {j} coincide in template {self.label!r}"
+                f"landmarks {pair[0]} and {pair[1]} coincide in template {self.label!r}"
             )
         object.__setattr__(self, "points", pts)
 
@@ -65,18 +64,6 @@ class LandmarkTemplate:
     def stacked(self) -> np.ndarray:
         """Points flattened to (2N,) in (x1, y1, x2, y2, ...) order."""
         return self.points.ravel()
-
-
-def _check_n(n: int, minimum: int = 3) -> None:
-    if n < minimum:
-        raise ConfigurationError(f"need at least {minimum} landmarks, got {n}")
-
-
-def _check_positive(**lengths: float) -> None:
-    """Reject lengths that are not positive and finite; NaN fails too."""
-    for name, value in lengths.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_finite(**coords) -> None:
@@ -92,9 +79,9 @@ def _angles(n: int) -> np.ndarray:
 
 def circle(radius: float, center=(0.0, 0.0), n: int = 64, label: str | None = None) -> LandmarkTemplate:
     """n points on a circle at uniform angles, counterclockwise from angle 0."""
-    _check_positive(radius=radius)
+    require_positive("radius", radius)
     _check_finite(center=center)
-    _check_n(n)
+    require_count("n", n, 3)
     theta = _angles(n)
     cx, cy = float(center[0]), float(center[1])
     pts = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
@@ -119,9 +106,10 @@ def ellipse_rot_shift(
     a rigid rotation; see standard_rotated_ellipse for the rigid version.
     At angle = 0 both coincide with the axis-aligned ellipse.
     """
-    _check_positive(a=a, b=b)
+    require_positive("a", a)
+    require_positive("b", b)
     _check_finite(angle=angle, shift=shift)
-    _check_n(n)
+    require_count("n", n, 3)
     theta = _angles(n)
     sx, sy = float(shift[0]), float(shift[1])
     x = a * math.cos(angle) * np.cos(theta) + b * math.sin(angle) * np.sin(theta) + sx
@@ -141,9 +129,10 @@ def standard_rotated_ellipse(
     label: str | None = None,
 ) -> LandmarkTemplate:
     """Rigidly rotated ellipse: R(angle) @ (a cos(theta), b sin(theta)) + shift."""
-    _check_positive(a=a, b=b)
+    require_positive("a", a)
+    require_positive("b", b)
     _check_finite(angle=angle, shift=shift)
-    _check_n(n)
+    require_count("n", n, 3)
     theta = _angles(n)
     ex, ey = a * np.cos(theta), b * np.sin(theta)
     c, s = math.cos(angle), math.sin(angle)
@@ -161,7 +150,7 @@ def heart4(n: int = 64, label: str | None = None) -> LandmarkTemplate:
 
     sampled at uniform parameter values.
     """
-    _check_n(n)
+    require_count("n", n, 3)
     t = _angles(n)
     x = (13.0 * np.cos(t) - 5.0 * np.cos(2 * t) - 2.0 * np.cos(3 * t) - np.cos(4 * t)) / 5.0
     y = 16.0 * np.sin(t) ** 3 / 5.0
@@ -179,8 +168,8 @@ def square(side: float, n: int = 64, label: str | None = None) -> LandmarkTempla
     deformation cost several-fold.  Corners fall on landmarks exactly when
     n is a multiple of 8 (at n = 4 the landmarks are the edge midpoints).
     """
-    _check_positive(side=side)
-    _check_n(n, minimum=4)
+    require_positive("side", side)
+    require_count("n", n, 4)
     if n % 4 != 0:
         raise ConfigurationError(f"square needs n divisible by 4, got {n}")
     h = side / 2.0
@@ -214,8 +203,10 @@ def circle_ellipse_hybrid(
     angularly aligned with landmark k of a circle at the same n.  The
     curve is closed only when a = r.
     """
-    _check_positive(r=r, a=a, b=b)
-    _check_n(n, minimum=4)
+    require_positive("r", r)
+    require_positive("a", a)
+    require_positive("b", b)
+    require_count("n", n, 4)
     if n % 2 != 0:
         raise ConfigurationError(f"hybrid needs even n, got {n}")
     half = n // 2

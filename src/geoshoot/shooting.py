@@ -19,16 +19,21 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .errors import ConfigurationError, DegenerateConfigurationError, DivergenceError
+from .errors import (
+    ConfigurationError,
+    DegenerateConfigurationError,
+    DivergenceError,
+    require_count,
+    require_positive,
+)
 from .integrator import EvolveConfig, evolve
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec, as_points, gram_matrix
 from .particles import ParticleState, SystemSpec, hamiltonian
 from .shapes import LandmarkTemplate
 
@@ -89,14 +94,9 @@ class ShootingConfig:
         object.__setattr__(self, "update_space", UpdateSpace(self.update_space))
         object.__setattr__(self, "stop_rule", StopRule(self.stop_rule))
         object.__setattr__(self, "norm", ResidualNorm(self.norm))
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ConfigurationError(f"h must be positive, got {self.h}")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ConfigurationError(
-                f"max_iter must be an integer >= 1, got {self.max_iter!r}"
-            )
+        require_positive("h", self.h)
+        require_positive("epsilon", self.epsilon)
+        require_count("max_iter", self.max_iter, 1)
         if self.system.sigma2 > 0 and self.stop_rule is not StopRule.MOMENTUM_DELTA:
             raise ConfigurationError(
                 "inexact matching (sigma2 > 0) cannot stop on the endpoint "
@@ -183,12 +183,8 @@ def momenta_from_velocity(kernel: KernelSpec, q0, u0) -> np.ndarray:
     matrix K over q0; the round-trip residual is at the level of the
     factorization error (<= 1e-10 for the shapes used here).
     """
-    q0 = np.asarray(q0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    if q0.shape != u0.shape or q0.ndim != 2 or q0.shape[1] != 2:
-        raise ValueError(
-            f"q0 and u0 must both have shape (N, 2), got {q0.shape} and {u0.shape}"
-        )
+    q0 = as_points(q0, "q0")
+    u0 = as_points(u0, "u0", n=len(q0))
     return _GramSolver(kernel, q0).solve(u0)
 
 

@@ -1,4 +1,4 @@
-"""Minimal hand-rolled SVG output for sweeps and shape overlays.
+"""Minimal hand-rolled SVG output for sweeps and trajectory frames.
 
 Self-contained text, no plotting dependency: the figures these mirror
 are static, and diffable markup beats a binary image for regression
@@ -13,9 +13,7 @@ import numpy as np
 
 from .analysis import DIVERGED, SweepGrid
 
-__all__ = ["heatmap_svg", "shapes_svg", "frames_svg", "save_svg"]
-
-_PALETTE = ("#1f6f8b", "#c0392b", "#7d6b2f", "#5b4a8a", "#2e7d4f", "#8a4a5b")
+__all__ = ["heatmap_svg", "frames_svg", "save_svg"]
 
 
 def _esc(text: str) -> str:
@@ -84,61 +82,13 @@ def heatmap_svg(grid: SweepGrid, matrix: np.ndarray, cell: int = 56) -> str:
     return "\n".join(parts)
 
 
-def _bounds(point_sets):
-    pts = np.vstack(point_sets)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
-    return lo, span
-
-
-def _project(points, lo, span, size, pad):
-    # SVG y grows downward; flip so the plot keeps math orientation.
-    scale = (size - 2 * pad) / span
-    x = pad + (points[:, 0] - lo[0]) * scale
-    y = size - pad - (points[:, 1] - lo[1]) * scale
-    return x, y
-
-
-def _polyline(x, y, stroke, opacity=1.0, marker_r=2.0):
-    coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x, y))
-    out = [
-        f'<polygon points="{coords}" fill="none" stroke="{stroke}" '
-        f'stroke-opacity="{opacity:.3f}"/>'
-    ]
-    if marker_r > 0:
-        out.extend(
-            f'<circle cx="{a:.2f}" cy="{b:.2f}" r="{marker_r}" '
-            f'fill="{stroke}" fill-opacity="{opacity:.3f}"/>'
-            for a, b in zip(x, y)
-        )
-    return out
-
-
-def shapes_svg(templates, size: int = 480) -> str:
-    """Closed-contour overlay of labeled templates on shared axes."""
-    pad = 28
-    lo, span = _bounds([t.points for t in templates])
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
-    for k, t in enumerate(templates):
-        color = _PALETTE[k % len(_PALETTE)]
-        x, y = _project(t.points, lo, span, size, pad)
-        parts.extend(_polyline(x, y, color))
-        parts.append(
-            f'<text x="{pad}" y="{16 + 14 * k}" fill="{color}">{_esc(t.label)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
 def frames_svg(frames, size: int = 480) -> str:
     """Trajectory frames as one contour each, fading in with time."""
     pad = 28
-    lo, span = _bounds([state.q for _, state in frames])
+    pts = np.vstack([state.q for _, state in frames])
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    scale = (size - 2 * pad) / float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}" font-family="sans-serif" font-size="12">',
@@ -147,8 +97,19 @@ def frames_svg(frames, size: int = 480) -> str:
     n = len(frames)
     for k, (t, state) in enumerate(frames):
         opacity = 0.25 + 0.75 * (k / (n - 1)) if n > 1 else 1.0
-        x, y = _project(state.q, lo, span, size, pad)
-        parts.extend(_polyline(x, y, "#1f6f8b", opacity, marker_r=1.5))
+        # SVG y grows downward; flip so the plot keeps math orientation.
+        x = pad + (state.q[:, 0] - lo[0]) * scale
+        y = size - pad - (state.q[:, 1] - lo[1]) * scale
+        coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x, y))
+        parts.append(
+            f'<polygon points="{coords}" fill="none" stroke="#1f6f8b" '
+            f'stroke-opacity="{opacity:.3f}"/>'
+        )
+        parts.extend(
+            f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1.5" '
+            f'fill="#1f6f8b" fill-opacity="{opacity:.3f}"/>'
+            for a, b in zip(x, y)
+        )
         parts.append(
             f'<text x="{pad}" y="{16 + 14 * k}" fill="#1f6f8b" '
             f'fill-opacity="{opacity:.3f}">t={t:g}</text>'

@@ -1,5 +1,7 @@
 """Distance records, clustering, sweeps, prediction, exactness rows."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,10 @@ def test_sweep_grid_validation():
         SweepGrid(alpha2_values=(0.5,), h_values=(0.1,), tolerance=0.0)
     with pytest.raises(ConfigurationError):
         SweepGrid(alpha2_values=(0.5,), h_values=(0.1,), n_landmarks=2)
+    with pytest.raises(ConfigurationError):
+        SweepGrid(alpha2_values=(0.5,), h_values=(0.1,), n_landmarks=math.nan)
+    with pytest.raises(ConfigurationError):
+        SweepGrid(alpha2_values=(0.5,), h_values=(0.1,), max_iter=2.5)
 
 
 def _half_observed():

@@ -221,13 +221,15 @@ def test_cluster_cli_verdict_and_exit_codes(tmp_path, capsys):
     assert starved == 1
 
 
-def test_sweep_cli(tmp_path, pair, capsys):
+# The templates set N; --n only sizes the built-in pair.
+@pytest.mark.parametrize("n_flag", [["--n", "8"], []], ids=["n8", "no-n"])
+def test_sweep_cli(tmp_path, pair, capsys, n_flag):
     ref, tgt = pair
     out = tmp_path / "sw"
     code = main(
         [
             "sweep", "--reference", str(ref), "--target", str(tgt),
-            "--n", "8", "--alpha2", "0.5", "1.0", "--h-values", "0.4", "0.8",
+            *n_flag, "--alpha2", "0.5", "1.0", "--h-values", "0.4", "0.8",
             "--tol", "1e-3", "--max-iter", "200", "--out", str(out),
         ]
     )
@@ -236,9 +238,12 @@ def test_sweep_cli(tmp_path, pair, capsys):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "alpha2,h,iterations,converged"
     assert len(rows) == 5
-    assert (out / "sweep.svg").read_text().startswith("<svg")
+    svg = (out / "sweep.svg").read_text()
+    assert svg.startswith("<svg")
+    assert "N=8" in svg
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extras"]["grid"]["alpha2_values"] == [0.5, 1.0]
+    assert manifest["extras"]["grid"]["n_landmarks"] == 8
     assert manifest["extras"]["pair"] == ["c", "e"]
 
 
@@ -249,15 +254,21 @@ def test_sweep_needs_both_templates_or_neither(tmp_path, pair, capsys):
     assert "together" in capsys.readouterr().err
 
 
-def test_sweep_with_unequal_landmark_counts_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["sweep", "match"])
+def test_sweep_with_unequal_landmark_counts_exits_2(tmp_path, capsys, command):
     ref = save_template(circle(2.0, n=16), tmp_path / "c16.json")
     tgt = save_template(circle(2.0, n=12), tmp_path / "c12.json")
-    code = main(
-        ["sweep", "--reference", str(ref), "--target", str(tgt),
-         "--alpha2", "1.0", "--h-values", "0.5", "--out", str(tmp_path / "sw")]
-    )
+    out = tmp_path / "out"
+    if command == "sweep":
+        argv = ["sweep", "--reference", str(ref), "--target", str(tgt),
+                "--alpha2", "1.0", "--h-values", "0.5"]
+    else:
+        argv = ["match", str(ref), str(tgt)]
+    code = main([*argv, "--out", str(out)])
     assert code == 2
     assert "equal landmark counts" in capsys.readouterr().err
+    # The library rejects the pair before any output directory is made.
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["shapes", "match"])

@@ -189,6 +189,8 @@ def test_gram_rejects_coincident_points():
         gram_matrix(KernelSpec(), pts)
     with pytest.raises(ValueError):
         gram_matrix(KernelSpec(), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_matrix(KernelSpec(), np.array([[0.0, 0.0], [1.0, np.nan]]))
     # Points 3 and 5 coincide; in blocks of two rows they sit in different
     # blocks, and the error still names their global indices.
     pts = circle(1.0, n=6).points.copy()

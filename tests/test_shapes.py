@@ -179,6 +179,11 @@ def test_hybrid_with_equal_radii_is_a_circle():
         lambda: standard_rotated_ellipse(1.0, 1.0, 0.0, shift=(math.nan, 0.0)),
         lambda: square(math.inf),
         lambda: circle_ellipse_hybrid(1.0, math.nan, 1.0),
+        # Landmark counts must be integers.
+        lambda: heart4(3.5),
+        lambda: circle(1.0, n=6.5),
+        lambda: circle(1.0, n=math.nan),
+        lambda: square(4.0, 8.0),
     ],
 )
 def test_generator_rejects_bad_parameters(build):

@@ -254,3 +254,7 @@ def test_gram_condition_estimate_is_within_10x_of_exact(shape, n):
 def test_momenta_from_velocity_validates_shapes():
     with pytest.raises(ValueError, match=r"\(N, 2\)"):
         momenta_from_velocity(KernelSpec(), np.zeros((4, 2)), np.zeros((3, 2)))
+    q0 = circle(1.0, n=4).points.copy()
+    q0[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        momenta_from_velocity(KernelSpec(), q0, np.zeros((4, 2)))
