@@ -259,9 +259,15 @@ def convergence_sweep(
     and step h_values[j].  A cell is DIVERGED when the run blows up,
     degenerates, or exhausts ``grid.max_iter``: divergence here is data,
     not an error.  A bad pair of templates (e.g. unequal landmark
-    counts) still raises ConfigurationError.  Cells are independent;
-    the matrix is assembled in row-major order.
+    counts), or a ``grid.n_landmarks`` other than the templates' N,
+    still raises ConfigurationError.  Cells are independent; the matrix
+    is assembled in row-major order.
     """
+    if reference.n == target.n != grid.n_landmarks:
+        raise ConfigurationError(
+            f"grid.n_landmarks = {grid.n_landmarks} but the templates have "
+            f"{reference.n} landmarks"
+        )
     out = np.empty((len(grid.alpha2_values), len(grid.h_values)), dtype=int)
     for i, alpha2 in enumerate(grid.alpha2_values):
         kernel = KernelSpec(

@@ -47,7 +47,7 @@ from .io import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from .kernels import KernelSpec
+from .kernels import KernelFamily, KernelSpec
 from .particles import ParticleState, SystemSpec
 from .shapes import (
     circle,
@@ -57,16 +57,20 @@ from .shapes import (
     square,
     standard_rotated_ellipse,
 )
-from .shooting import ShootingConfig, match
+from .shooting import ResidualNorm, ShootingConfig, StopRule, UpdateSpace, match
 from .svg import frames_svg, heatmap_svg, save_svg
 
 __all__ = ["main", "build_parser"]
 
 
+def _one_of(default) -> dict:
+    """Keywords of a flag taking one value of the enum of member ``default``."""
+    return {"choices": [m.value for m in type(default)], "default": default.value}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("shooting configuration")
-    g.add_argument("--kernel", choices=["conical", "gaussian", "bessel"],
-                   default="conical")
+    g.add_argument("--kernel", **_one_of(KernelFamily.CONICAL))
     g.add_argument("--nu", type=float, default=1.5,
                    help="Bessel kernel order (bessel family only)")
     g.add_argument("--alpha", type=float, default=1.0, help="kernel width")
@@ -79,10 +83,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--t-final", type=float, default=1.0)
     g.add_argument("--sigma2", type=float, default=0.0,
                    help="inexactness weight; > 0 switches the system")
-    g.add_argument("--stop", choices=["residual", "momentum-delta"],
-                   default="residual")
-    g.add_argument("--update", choices=["velocity", "momentum"], default="velocity")
-    g.add_argument("--norm", choices=["max", "l2"], default="max")
+    g.add_argument("--stop", **_one_of(StopRule.TARGET_RESIDUAL))
+    g.add_argument("--update", **_one_of(UpdateSpace.VELOCITY))
+    g.add_argument("--norm", **_one_of(ResidualNorm.MAX))
     g.add_argument("--seed", type=int, default=None,
                    help="seed for randomized diagnostics; recorded in the manifest")
 
@@ -351,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_cluster)
 
     p = sub.add_parser("sweep", help="convergence sweep over the alpha^2 x h plane")
-    p.add_argument("--kernel", choices=["conical", "gaussian", "bessel"],
-                   default="conical")
+    p.add_argument("--kernel", **_one_of(KernelFamily.CONICAL))
     p.add_argument("--n", type=int, default=16,
                    help="landmark count of the built-in pair; template files "
                    "set their own")

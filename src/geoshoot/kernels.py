@@ -138,7 +138,7 @@ def _kernel_terms(spec: KernelSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def kernel_value(spec: KernelSpec, r):
     """Evaluate G(r) for r >= 0.  Accepts a scalar or an array."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
+    if not np.all(r_arr >= 0):  # NaN fails the comparison too
         raise ValueError("kernel_value requires r >= 0")
     out = _kernel_terms(spec, np.atleast_1d(r_arr))[0]
     return float(out[0]) if r_arr.ndim == 0 else out
@@ -152,20 +152,20 @@ def kernel_derivative(spec: KernelSpec, r):
     pairs (the momentum equation's sum already skips j = i).
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
+    if not np.all(r_arr > 0):
         raise ValueError("kernel_derivative requires r > 0; r = 0 is a caller bug")
     out = _kernel_terms(spec, np.atleast_1d(r_arr))[1]
     return float(out[0]) if r_arr.ndim == 0 else out
 
 
-# Full (N, N) pairwise builds run in row blocks of this many entries,
-# 256 KB per float64 block matrix, so that a block's temporaries stay in
-# a core's L2 cache instead of streaming whole matrices through L3.
+# Every pairwise build runs in row blocks of this many entries, 256 KB
+# per float64 block matrix, so that a block's temporaries stay in a
+# core's L2 cache instead of streaming whole matrices through L3.
 _BLOCK_ENTRIES = 1 << 15
 
 
 def _block_rows(n: int) -> int:
-    """Rows per block of an (n, n) pairwise matrix: at most
+    """Rows per block of a pairwise matrix with n columns: at most
     ``_BLOCK_ENTRIES`` entries, and one row at the least."""
     return max(1, _BLOCK_ENTRIES // n)
 
@@ -203,6 +203,14 @@ def pairwise_distances(points, others=None) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
+def pairwise_blocks(x: np.ndarray, q: np.ndarray):
+    """The package's one pairwise pass: distances from points ``x`` to points
+    ``q`` in row blocks, as (s, dist) with dist[i, j] = |x[s + i] - q[j]|."""
+    rows = _block_rows(len(q))
+    for s in range(0, len(x), rows):
+        yield s, pairwise_distances(x[s : s + rows], q)
+
+
 def coincident_pair(dist: np.ndarray, start: int = 0):
     """First coincident pair (i, j), i != j, in a row block of distances.
 
@@ -226,16 +234,13 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     matrix singular and are rejected.
     """
     pts = as_points(points)
-    n = len(pts)
-    rows = _block_rows(n)
-    kmat = np.empty((n, n))
-    for s in range(0, n, rows):
-        dist = pairwise_distances(pts[s : s + rows], pts)
+    kmat = np.empty((len(pts), len(pts)))
+    for s, dist in pairwise_blocks(pts, pts):
         pair = coincident_pair(dist, s)
         if pair is not None:
             raise DegenerateConfigurationError(
                 f"points {pair[0]} and {pair[1]} coincide; "
                 "Gram matrix would be singular"
             )
-        kmat[s : s + rows] = kernel_value(spec, dist)
+        kmat[s : s + len(dist)] = kernel_value(spec, dist)
     return kmat

@@ -17,10 +17,10 @@ as integration diagnostics.
 Input is validated at the public boundary: :class:`ParticleState`
 checks shapes and finiteness once, and :func:`rhs` hands its arrays to
 the unvalidated ``_rhs``, which :func:`geoshoot.integrator.evolve` calls
-directly on every RK4 stage.  ``_rhs`` works in row blocks of the
-pairwise matrices, sized by the kernels module to stay in cache: each
-block computes its distances once, gets G and G' from one kernel
-evaluation, and adds its rows of dq and dp.
+directly on every RK4 stage.  Every kernel sum here is a loop over the
+row blocks of :func:`geoshoot.kernels.pairwise_blocks`, so no full
+(N, N) matrix is held: each block's distances are computed once and its
+rows of the sum added.
 """
 
 from __future__ import annotations
@@ -31,14 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateConfigurationError
-from .kernels import (
-    KernelSpec,
-    _kernel_terms,
-    _block_rows,
-    as_points,
-    kernel_value,
-    pairwise_distances,
-)
+from .kernels import KernelSpec, _kernel_terms, as_points, kernel_value, pairwise_blocks
 
 __all__ = [
     "ParticleState",
@@ -90,17 +83,15 @@ def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray):
     diagonal (zero on it), dq = K p and dp_i = -sum_j A[i,j] (q_i - q_j).
     Coincident pairs are tolerated only when their momentum product
     vanishes, in which case their A entry is zero.  Rows s:e of K and A
-    are built one block at a time, so their diagonal is the flat strided
-    slice [s::N+1] of the block.
+    are built one block of :func:`pairwise_blocks` at a time, so their
+    diagonal is the flat strided slice [s::N+1] of the block.
     """
     n = len(q)
-    rows = _block_rows(n)
     dq = np.empty_like(p)
     dp = np.empty_like(q)
-    for s in range(0, n, rows):
-        e = s + rows  # past n in the last block; slices stop at n
+    for s, dist in pairwise_blocks(q, q):
+        e = s + len(dist)
         qb = q[s:e]
-        dist = pairwise_distances(qb, q)
         kmat, a = _kernel_terms(spec.kernel, dist)
         pdot = p[s:e] @ p.T
         # dist is exactly 0 on the diagonal; any other 0 is a coincident pair.
@@ -147,8 +138,7 @@ def hamiltonian(spec: SystemSpec, state: ParticleState) -> float:
     extra kinetic term of the inexact system is reported separately by
     :func:`inexactness_energy` and never folded in silently.
     """
-    kmat = kernel_value(spec.kernel, pairwise_distances(state.q))
-    return float(np.sum(state.p * (kmat @ state.p)))
+    return float(np.sum(state.p * velocity_field(spec, state, state.q)))
 
 
 def inexactness_energy(spec: SystemSpec, state: ParticleState) -> float:
@@ -160,12 +150,15 @@ def inexactness_energy(spec: SystemSpec, state: ParticleState) -> float:
 def velocity_field(spec: SystemSpec, state: ParticleState, x) -> np.ndarray:
     """Kernel-reconstructed velocity u(x) = sum_j G(|x - q_j|) p_j.
 
-    ``x`` may be a single 2-vector or an (M, 2) batch of sample points.
+    ``x`` may be a single 2-vector or an (M, 2) batch of finite sample
+    points; anything else raises ValueError.
     """
     x_arr = np.asarray(x, dtype=float)
     single = x_arr.ndim == 1
-    pts = np.atleast_2d(x_arr)
-    u = kernel_value(spec.kernel, pairwise_distances(pts, state.q)) @ state.p
+    pts = as_points(np.atleast_2d(x_arr), "x")
+    u = np.empty_like(pts)
+    for s, dist in pairwise_blocks(pts, state.q):
+        u[s : s + len(dist)] = kernel_value(spec.kernel, dist) @ state.p
     return u[0] if single else u
 
 

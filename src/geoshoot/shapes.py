@@ -26,7 +26,7 @@ from .errors import (
     require_count,
     require_positive,
 )
-from .kernels import as_points, coincident_pair, pairwise_distances
+from .kernels import as_points, coincident_pair, pairwise_blocks
 
 __all__ = [
     "LandmarkTemplate",
@@ -50,11 +50,12 @@ class LandmarkTemplate:
 
     def __post_init__(self):
         pts = as_points(self.points)
-        pair = coincident_pair(pairwise_distances(pts))
-        if pair is not None:
-            raise DegenerateConfigurationError(
-                f"landmarks {pair[0]} and {pair[1]} coincide in template {self.label!r}"
-            )
+        for s, dist in pairwise_blocks(pts, pts):
+            pair = coincident_pair(dist, s)
+            if pair is not None:
+                raise DegenerateConfigurationError(
+                    f"landmarks {pair[0]} and {pair[1]} coincide in template {self.label!r}"
+                )
         object.__setattr__(self, "points", pts)
 
     @property

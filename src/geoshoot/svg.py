@@ -15,6 +15,9 @@ from .analysis import DIVERGED, SweepGrid
 
 __all__ = ["heatmap_svg", "frames_svg", "save_svg"]
 
+_CELL = 56  # px, side of one heatmap cell
+_FRAME = 480  # px, side of the square frames figure
+
 
 def _esc(text: str) -> str:
     return (
@@ -22,7 +25,7 @@ def _esc(text: str) -> str:
     )
 
 
-def heatmap_svg(grid: SweepGrid, matrix: np.ndarray, cell: int = 56) -> str:
+def heatmap_svg(grid: SweepGrid, matrix: np.ndarray) -> str:
     """Gray-level map of a convergence sweep.
 
     Gray level is proportional to the iteration count (fast cells dark,
@@ -32,8 +35,8 @@ def heatmap_svg(grid: SweepGrid, matrix: np.ndarray, cell: int = 56) -> str:
     """
     rows, cols = matrix.shape
     left, top = 70, 34
-    width = left + cols * cell + 16
-    height = top + rows * cell + 46
+    width = left + cols * _CELL + 16
+    height = top + rows * _CELL + 46
     converged = matrix[matrix != DIVERGED]
     vmax = int(converged.max()) if converged.size else 1
 
@@ -48,16 +51,16 @@ def heatmap_svg(grid: SweepGrid, matrix: np.ndarray, cell: int = 56) -> str:
     ]
     for j, h in enumerate(grid.h_values):
         parts.append(
-            f'<text x="{left + j * cell + cell / 2:.0f}" y="{top - 6}" '
+            f'<text x="{left + j * _CELL + _CELL / 2:.0f}" y="{top - 6}" '
             f'text-anchor="middle">h={h:g}</text>'
         )
     for i, alpha2 in enumerate(grid.alpha2_values):
         parts.append(
-            f'<text x="{left - 8}" y="{top + i * cell + cell / 2 + 4:.0f}" '
+            f'<text x="{left - 8}" y="{top + i * _CELL + _CELL / 2 + 4:.0f}" '
             f'text-anchor="end">a2={alpha2:g}</text>'
         )
         for j in range(cols):
-            x, y = left + j * cell, top + i * cell
+            x, y = left + j * _CELL, top + i * _CELL
             value = int(matrix[i, j])
             if value == DIVERGED:
                 fill, label, text_fill = "white", "x", "#444444"
@@ -67,11 +70,11 @@ def heatmap_svg(grid: SweepGrid, matrix: np.ndarray, cell: int = 56) -> str:
                 label = str(value)
                 text_fill = "white" if level < 112 else "black"
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
                 f'fill="{fill}" stroke="#888888"/>'
             )
             parts.append(
-                f'<text x="{x + cell / 2:.0f}" y="{y + cell / 2 + 4:.0f}" '
+                f'<text x="{x + _CELL / 2:.0f}" y="{y + _CELL / 2 + 4:.0f}" '
                 f'text-anchor="middle" fill="{text_fill}">{label}</text>'
             )
     parts.append(
@@ -82,24 +85,24 @@ def heatmap_svg(grid: SweepGrid, matrix: np.ndarray, cell: int = 56) -> str:
     return "\n".join(parts)
 
 
-def frames_svg(frames, size: int = 480) -> str:
+def frames_svg(frames) -> str:
     """Trajectory frames as one contour each, fading in with time."""
     pad = 28
     pts = np.vstack([state.q for _, state in frames])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    scale = (size - 2 * pad) / float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
+    scale = (_FRAME - 2 * pad) / float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_FRAME}" height="{_FRAME}" '
+        f'viewBox="0 0 {_FRAME} {_FRAME}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_FRAME}" height="{_FRAME}" fill="white"/>',
     ]
     n = len(frames)
     for k, (t, state) in enumerate(frames):
         opacity = 0.25 + 0.75 * (k / (n - 1)) if n > 1 else 1.0
         # SVG y grows downward; flip so the plot keeps math orientation.
         x = pad + (state.q[:, 0] - lo[0]) * scale
-        y = size - pad - (state.q[:, 1] - lo[1]) * scale
+        y = _FRAME - pad - (state.q[:, 1] - lo[1]) * scale
         coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x, y))
         parts.append(
             f'<polygon points="{coords}" fill="none" stroke="#1f6f8b" '

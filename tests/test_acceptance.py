@@ -52,6 +52,7 @@ from geoshoot import (
     square,
     standard_rotated_ellipse,
 )
+from geoshoot import shooting
 from geoshoot.cli import main as cli_main
 
 KERNEL = KernelSpec()  # conical, alpha = 1, normalized
@@ -324,28 +325,42 @@ def test_criterion_10_prediction_from_partial_observation():
     _report(10, dist <= 0.05, f"max landmark distance = {dist:.4f} <= 0.05")
 
 
-def test_criterion_11_feedback_beats_newton_walltime():
-    walls = {}
+def test_criterion_11_feedback_beats_newton_walltime(monkeypatch):
+    # Shoots are counted next to the wall times: the counts are the same
+    # on every run, so they show whether a wall ratio moved with the work.
+    shoots = [0]
+
+    def counted_evolve(*args, **kwargs):
+        shoots[0] += 1
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "evolve", counted_evolve)
+
+    def timed(solve, *args):
+        shoots[0] = 0
+        t0 = time.perf_counter()
+        res = solve(*args)
+        return res, time.perf_counter() - t0, shoots[0]
+
+    walls, counts = {}, {}
     for n in (60, 30):
         ref = circle(2.0, n=n)
         tgt = standard_rotated_ellipse(4.0, 1.0, -math.pi / 4, (1.0, 0.0), n)
-        t0 = time.perf_counter()
-        fb = match(ref, tgt, _cfg(0.3, norm=ResidualNorm.L2))
-        t_fb = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        nw = newton_match(ref, tgt, _cfg(1.0, norm=ResidualNorm.L2))
-        t_nw = time.perf_counter() - t0
+        fb, t_fb, s_fb = timed(match, ref, tgt, _cfg(0.3, norm=ResidualNorm.L2))
+        nw, t_nw, s_nw = timed(newton_match, ref, tgt, _cfg(1.0, norm=ResidualNorm.L2))
         assert fb.converged and nw.converged  # equal l2 residual target
         if fb.converged:
             RUNS.append((f"timing n={n}", fb))
         walls[n] = (t_fb, t_nw)
+        counts[n] = (s_fb, s_nw)
     faster = walls[60][0] < walls[60][1]
     ratio = max(walls[30]) / min(walls[30])
     _report(
         11,
         faster and ratio <= 2.0,
-        f"N=60 feedback {walls[60][0]:.2f}s < newton {walls[60][1]:.2f}s; "
-        f"N=30 ratio {ratio:.2f} <= 2",
+        f"N=60 feedback {walls[60][0]:.2f}s ({counts[60][0]} shoots) < newton "
+        f"{walls[60][1]:.2f}s ({counts[60][1]} shoots); N=30 ratio {ratio:.2f} <= 2 "
+        f"(feedback {counts[30][0]} / newton {counts[30][1]} shoots)",
     )
 
 

@@ -160,6 +160,8 @@ def test_sweep_rejects_unequal_landmark_counts():
     grid = SweepGrid(alpha2_values=(1.0,), h_values=(0.5,), n_landmarks=16)
     with pytest.raises(ConfigurationError, match="equal landmark counts"):
         convergence_sweep(circle(2.0, n=16), circle(2.0, n=12), grid)
+    with pytest.raises(ConfigurationError, match="n_landmarks = 16"):
+        convergence_sweep(circle(2.0, n=12), circle(2.0, n=12), grid)
 
 
 def test_sweep_grid_validation():

@@ -164,6 +164,10 @@ def test_domain_validation():
         kernel_derivative(spec, 0.0)
     with pytest.raises(ValueError):
         kernel_derivative(spec, np.array([1.0, -2.0]))
+    with pytest.raises(ValueError):
+        kernel_value(spec, math.nan)
+    with pytest.raises(ValueError):
+        kernel_derivative(spec, np.array([1.0, np.nan]))
 
 
 def test_spec_validation():

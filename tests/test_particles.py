@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from geoshoot import (
     EvolveConfig,
     KernelFamily,
     KernelSpec,
+    LandmarkTemplate,
     ParticleState,
     SystemSpec,
     circle,
@@ -21,6 +23,7 @@ from geoshoot import (
     evolve,
     gram_matrix,
     hamiltonian,
+    heart4,
     inexactness_energy,
     rhs,
     velocity_field,
@@ -161,6 +164,9 @@ def test_velocity_field_single_point_matches_batch():
     batch = velocity_field(spec, state, np.array([[0.25, -0.5]]))
     assert single.shape == (2,)
     np.testing.assert_allclose(batch[0], single)
+    for bad in ([0.25, -0.5, 1.0], [0.25], [np.nan, -0.5]):
+        with pytest.raises(ValueError, match="^x "):
+            velocity_field(spec, state, np.array(bad))
 
 
 def test_conserved_quantities_keys():
@@ -373,6 +379,48 @@ def test_rhs_default_blocks_agree_with_one_block():
         whole = _rhs_in_blocks(spec, q, p, rows=n)
         for got, want in zip(split, whole):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_kernel_sums_agree_under_every_block_budget():
+    """hamiltonian and velocity_field add up the blocks of one pairwise
+    pass; a row split may change only how BLAS rounds each block product."""
+    rng = np.random.default_rng(12)
+    q = heart4(12).points
+    p = rng.normal(size=(12, 2))
+    x = np.vstack([q, rng.normal(size=(5, 2))])
+    for family in KernelFamily:
+        spec = SystemSpec(kernel=KernelSpec(family=family, nu=2.5))
+        state = ParticleState(q, p)
+        # sum_j G(|x_i - q_j|) |p_j| bounds every term of u(x_i).
+        u_scale = velocity_field(spec, ParticleState(q, np.abs(p)), x)
+        h_scale = float(np.sum(np.abs(p) * u_scale[:12]))
+        whole_u, whole_h = velocity_field(spec, state, x), hamiltonian(spec, state)
+        for budget in range(1, 17 * 12 + 1):
+            with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
+                assert _within_rounding(velocity_field(spec, state, x), whole_u, u_scale)
+                assert _within_rounding(hamiltonian(spec, state), whole_h, h_scale)
+
+
+@pytest.mark.parametrize("build", ["template", "hamiltonian", "velocity_field"])
+def test_pairwise_sums_never_hold_a_full_matrix(build):
+    """At N = 1024 one (N, N) float matrix is 8 MiB; the blocked pass
+    holds a few 256 KiB blocks at a time."""
+    n = 1024
+    points = heart4(n).points
+    state = ParticleState(points, np.ones((n, 2)))
+    spec = SystemSpec()
+    run = {
+        "template": lambda: LandmarkTemplate(points),
+        "hamiltonian": lambda: hamiltonian(spec, state),
+        "velocity_field": lambda: velocity_field(spec, state, points),
+    }[build]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # RK4 drifts H and L by O(dt^4); the test holds it to dt^4 itself, relative.

@@ -6,6 +6,7 @@ must update them deliberately.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from geoshoot import (
     square,
     standard_rotated_ellipse,
 )
+from geoshoot import kernels
 
 SQRT3 = math.sqrt(3.0)
 
@@ -202,6 +204,14 @@ def test_template_rejects_coincident_landmarks():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DegenerateConfigurationError, match="0 and 2"):
         LandmarkTemplate(pts, label="dup")
+    # Landmarks 3 and 5 coincide; every row split names them by their
+    # global indices, also when they fall in different blocks.
+    pts = circle(1.0, n=6).points.copy()
+    pts[5] = pts[3]
+    for budget in range(1, 6 * 6 + 1):
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
+            with pytest.raises(DegenerateConfigurationError, match="landmarks 3 and 5"):
+                LandmarkTemplate(pts)
 
 
 def test_template_accessors():
