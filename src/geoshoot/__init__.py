@@ -63,7 +63,6 @@ from .shooting import (
     MatchResult,
     ResidualNorm,
     ShootingConfig,
-    StopRule,
     UpdateSpace,
     contraction_diagnostics,
     match,

@@ -26,7 +26,7 @@ from .integrator import EvolveConfig, evolve
 from .kernels import KernelFamily, KernelSpec
 from .particles import ParticleState, SystemSpec
 from .shapes import LandmarkTemplate, PlanarIsometry
-from .shooting import ShootingConfig, StopRule, match
+from .shooting import ShootingConfig, match
 
 __all__ = [
     "DIVERGED",
@@ -338,29 +338,23 @@ def exact_vs_inexact(
 ) -> tuple:
     """Exact matching against inexact relaxations of growing sigma^2.
 
-    The first row is the exact run (sigma2 = 0, endpoint-residual stop);
-    one more row follows per requested sigma2, each stopping on the
-    iterate delta since the endpoint residual no longer goes to zero.
-    Inexact rows may need their own step size (large sigma2 destabilizes
-    the feedback loop), supplied via ``h_by_sigma2``; the final residual
-    column makes the growing deviation from the exact endpoint visible.
+    The first row is the exact run (sigma2 = 0, at ``cfg.h``), stopping
+    once the endpoint residual |r| < epsilon; one more row follows per
+    requested sigma2.  An inexact row (sigma2 > 0) stops once the
+    iterate's move h * |r| < epsilon, so its endpoint lies within about
+    epsilon / h of the target.  Requested rows may need their own step
+    size (large sigma2 destabilizes the feedback loop), supplied via
+    ``h_by_sigma2``; the final residual column makes the growing
+    deviation from the exact endpoint visible.
     """
-    exact_cfg = replace(
-        cfg,
-        stop_rule=StopRule.TARGET_RESIDUAL,
-        system=replace(cfg.system, sigma2=0.0),
-    )
-    rows = [_exactness_row(reference, target, 0.0, exact_cfg)]
-    for sigma2 in sigma2_values:
+    rows = []
+    for k, sigma2 in enumerate((0.0, *sigma2_values)):
         s2 = float(sigma2)
-        h = cfg.h if h_by_sigma2 is None else float(h_by_sigma2.get(s2, cfg.h))
-        inexact_cfg = replace(
-            cfg,
-            h=h,
-            stop_rule=StopRule.MOMENTUM_DELTA,
-            system=replace(cfg.system, sigma2=s2),
-        )
-        rows.append(_exactness_row(reference, target, s2, inexact_cfg))
+        h = cfg.h
+        if k > 0 and h_by_sigma2 is not None:
+            h = float(h_by_sigma2.get(s2, cfg.h))
+        row_cfg = replace(cfg, h=h, system=replace(cfg.system, sigma2=s2))
+        rows.append(_exactness_row(reference, target, s2, row_cfg))
     return tuple(rows)
 
 

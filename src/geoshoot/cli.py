@@ -57,7 +57,7 @@ from .shapes import (
     square,
     standard_rotated_ellipse,
 )
-from .shooting import ResidualNorm, ShootingConfig, StopRule, UpdateSpace, match
+from .shooting import ResidualNorm, ShootingConfig, UpdateSpace, match
 from .svg import frames_svg, heatmap_svg, save_svg
 
 __all__ = ["main", "build_parser"]
@@ -82,12 +82,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--steps", type=int, default=100, help="RK4 steps over [0, t-final]")
     g.add_argument("--t-final", type=float, default=1.0)
     g.add_argument("--sigma2", type=float, default=0.0,
-                   help="inexactness weight; > 0 switches the system")
-    g.add_argument("--stop", **_one_of(StopRule.TARGET_RESIDUAL))
+                   help="inexactness weight; > 0 switches the system and its stopping rule")
     g.add_argument("--update", **_one_of(UpdateSpace.VELOCITY))
     g.add_argument("--norm", **_one_of(ResidualNorm.MAX))
-    g.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized diagnostics; recorded in the manifest")
 
 
 def _config_from(args: argparse.Namespace) -> ShootingConfig:
@@ -99,7 +96,6 @@ def _config_from(args: argparse.Namespace) -> ShootingConfig:
         epsilon=args.eps,
         max_iter=args.max_iter,
         update_space=args.update,
-        stop_rule=args.stop,
         norm=args.norm,
         evolve=EvolveConfig(t_final=args.t_final, steps=args.steps),
         system=SystemSpec(kernel=kernel, sigma2=args.sigma2),
@@ -368,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="template JSON (default: built-in circle)")
     p.add_argument("--target", default=None,
                    help="template JSON (default: built-in rotated ellipse)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(run=_cmd_sweep)
 
@@ -381,9 +376,6 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         run = args.run(args)
-        extras = dict(run.extras or {})
-        if getattr(args, "seed", None) is not None:
-            extras["seed"] = args.seed
         manifest = RunManifest(
             command=shlex.join(["geoshoot", *argv]),
             version=__version__,
@@ -391,7 +383,7 @@ def main(argv=None) -> int:
             inputs={str(p): sha256_digest(p) for p in run.inputs},
             wall_time_s=time.perf_counter() - t0,
             outcome=run.outcome,
-            extras=extras,
+            extras=run.extras or {},
         )
         write_manifest(manifest, run.manifest)
     except (ConfigurationError, OSError) as exc:

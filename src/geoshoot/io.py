@@ -199,15 +199,16 @@ def write_trajectory_csv(frames, path) -> Path:
 def write_sweep_csv(grid: SweepGrid, matrix: np.ndarray, path) -> Path:
     """Row-major cells as alpha2, h, iterations, converged.
 
-    Diverged cells leave the iterations column empty rather than
-    carrying the in-memory sentinel into the file.
+    alpha2 and h are written as the shortest decimals that read back to
+    the grid's values.  Diverged cells leave the iterations column empty
+    rather than carrying the in-memory sentinel into the file.
     """
 
     def row(alpha2, h, cell):
         diverged = cell == DIVERGED
         return [
-            f"{alpha2:g}",
-            f"{h:g}",
+            np.format_float_positional(alpha2, trim="-"),
+            np.format_float_positional(h, trim="-"),
             "" if diverged else cell,
             str(not diverged).lower(),
         ]

@@ -39,7 +39,6 @@ from .shapes import LandmarkTemplate
 
 __all__ = [
     "UpdateSpace",
-    "StopRule",
     "ResidualNorm",
     "ShootingConfig",
     "MatchResult",
@@ -60,11 +59,6 @@ class UpdateSpace(str, enum.Enum):
     MOMENTUM = "momentum"
 
 
-class StopRule(str, enum.Enum):
-    TARGET_RESIDUAL = "residual"
-    MOMENTUM_DELTA = "momentum-delta"
-
-
 class ResidualNorm(str, enum.Enum):
     MAX = "max"
     L2 = "l2"
@@ -75,41 +69,37 @@ class ShootingConfig:
     """Knobs of the matching iteration.
 
     ``h`` is the feedback gain (update matrix M = h * I).  Values above 1
-    are allowed but tend to diverge.  The stop rule is the endpoint
-    residual for exact matching; inexact systems (sigma2 > 0) never drive
-    the endpoint residual to zero, so they must stop on the per-iteration
-    change of the shooting iterate instead.
+    are allowed but tend to diverge.  ``system.sigma2`` sets the stopping
+    rule: an exact system (sigma2 = 0) stops once the endpoint residual
+    |r| < epsilon; an inexact one (sigma2 > 0) stops once the iterate's
+    move h * |r| < epsilon, which leaves the endpoint within about
+    epsilon / h of the target.
     """
 
     h: float
     epsilon: float = 1e-3
     max_iter: int = 500
     update_space: UpdateSpace = UpdateSpace.VELOCITY
-    stop_rule: StopRule = StopRule.TARGET_RESIDUAL
     norm: ResidualNorm = ResidualNorm.MAX
     evolve: EvolveConfig = field(default_factory=EvolveConfig)
     system: SystemSpec = field(default_factory=SystemSpec)
 
     def __post_init__(self):
         object.__setattr__(self, "update_space", UpdateSpace(self.update_space))
-        object.__setattr__(self, "stop_rule", StopRule(self.stop_rule))
         object.__setattr__(self, "norm", ResidualNorm(self.norm))
         require_positive("h", self.h)
         require_positive("epsilon", self.epsilon)
         require_count("max_iter", self.max_iter, 1)
-        if self.system.sigma2 > 0 and self.stop_rule is not StopRule.MOMENTUM_DELTA:
-            raise ConfigurationError(
-                "inexact matching (sigma2 > 0) cannot stop on the endpoint "
-                "residual; use stop_rule = MomentumDelta"
-            )
 
 
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of one matching run.
 
-    ``residual_history`` holds the stopping-norm value measured after
-    each applied update, so its length equals ``iterations``; a run whose
+    ``residual_history`` holds one stopping-norm value per applied
+    update, so its length equals ``iterations``: for an exact system the
+    endpoint residual |r| after the update, for an inexact one
+    (sigma2 > 0) the move h * |r| measured before it.  An exact run whose
     initial residual is already below tolerance reports zero iterations
     and an empty history.  ``diagnosis`` is set only on failed runs.
     """
@@ -229,22 +219,23 @@ def _drive(
     The iterate x is the initial velocity u (``velocity``: the Gram
     solve maps it to momenta) or the momenta p themselves.  It starts
     at 0 and moves by h times a direction: the endpoint residual r, or
-    the Newton step J^-1 r (``newton``).  The stopping norm is |r|, or
-    for MomentumDelta h * |r|, which is the iterate's move only under
-    the feedback update; so Newton takes only the residual rule.
+    the Newton step J^-1 r (``newton``).  The stopping norm is |r| for
+    an exact system and h * |r| for an inexact one (sigma2 > 0); the
+    latter is the iterate's move only under the feedback update, so
+    Newton takes only exact systems.
     """
     if reference.n != target.n:
         raise ConfigurationError(
             f"templates must have equal landmark counts: "
             f"{reference.n} (reference) vs {target.n} (target)"
         )
-    if newton and cfg.stop_rule is not StopRule.TARGET_RESIDUAL:
-        raise ConfigurationError("newton_match supports only the TargetResidual rule")
+    if newton and cfg.system.sigma2 > 0:
+        raise ConfigurationError("newton_match supports only exact systems (sigma2 = 0)")
     q0 = reference.points
     solver = _GramSolver(cfg.system.kernel, q0) if velocity else None
     to_momenta = solver.solve if velocity else (lambda x: x)
     shoot = lambda x: _shoot(cfg, q0, to_momenta(x))
-    residual_rule = cfg.stop_rule is StopRule.TARGET_RESIDUAL
+    residual_rule = cfg.system.sigma2 == 0
 
     x = np.zeros(q0.shape)
     p = np.zeros(q0.shape)
@@ -305,14 +296,16 @@ def match(
 ) -> MatchResult:
     """Find initial momenta carrying ``reference`` onto ``target``.
 
-    Exact matching (TargetResidual) measures the endpoint mismatch in
-    the configured norm after every update and stops below epsilon;
-    inexact matching (MomentumDelta) measures how far the shooting
-    iterate moved instead, which is h times the driving residual in
-    either update space.  Divergence (non-finite state, or stopping
-    norm exceeding 1e6 times its first value) ends the run with
-    converged = False and diagnosis "step too large" rather than an
-    exception; hitting max_iter just reports converged = False.
+    Exact matching (sigma2 = 0) measures the endpoint mismatch in the
+    configured norm after every update and stops below epsilon.
+    Inexact matching (sigma2 > 0) measures how far the shooting iterate
+    moves instead, which is h times the driving residual in either
+    update space, and stops once that move is below epsilon: the
+    endpoint then lies within about epsilon / h of the target.
+    Divergence (non-finite state, or stopping norm exceeding 1e6 times
+    its first value) ends the run with converged = False and diagnosis
+    "step too large" rather than an exception; hitting max_iter just
+    reports converged = False.
     """
     velocity = cfg.update_space is UpdateSpace.VELOCITY
     return _drive(reference, target, cfg, velocity, newton=False)
@@ -346,7 +339,7 @@ def newton_match(
     differences off the current endpoint (one shoot per column), solves
     for the full Newton step, and damps it by h.  Each iteration
     therefore costs 2N + 1 evolutions; the point of the comparison is
-    that the feedback loop avoids all of them.  Only the
-    endpoint-residual stop rule is meaningful here.
+    that the feedback loop avoids all of them.  Only exact systems
+    (sigma2 = 0) are supported: Newton stops on the endpoint residual.
     """
     return _drive(reference, target, cfg, velocity=True, newton=True)

@@ -225,8 +225,8 @@ def test_exactness_table_layout_and_trend():
     assert len(rows) == 3
     exact, zero, inexact = rows
     assert exact.sigma2 == 0.0 and exact.converged
-    # sigma2 = 0 under the delta rule reproduces the exact run.
-    assert zero.H == pytest.approx(exact.H, rel=1e-9)
+    # A requested sigma2 = 0 row is the exact run itself.
+    assert zero == exact
     assert inexact.sigma2 == 0.3
     assert inexact.h == 0.4
     assert inexact.converged

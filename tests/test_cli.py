@@ -128,8 +128,8 @@ def test_nonfinite_shape_parameters_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--sigma2", "nan", "--stop", "momentum-delta"],
-        ["--sigma2", "inf", "--stop", "momentum-delta"],
+        ["--sigma2", "nan"],
+        ["--sigma2", "inf"],
         ["--capture-every", "-1"],
     ],
 )
@@ -149,12 +149,12 @@ def test_invalid_gain_exits_2(tmp_path, pair, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sigma2_without_delta_rule_exits_2(tmp_path, pair):
+def test_inexact_match_exits_0(tmp_path, pair):
     ref, tgt = pair
     code = main(
         ["match", str(ref), str(tgt), "--sigma2", "0.1", "--out", str(tmp_path / "x")]
     )
-    assert code == 2
+    assert code == 0
 
 
 def test_predict_cli(tmp_path, pair):
@@ -291,12 +291,3 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out.strip()
     assert out and all(part.isdigit() for part in out.split("."))
-
-
-def test_seed_lands_in_manifest(tmp_path, pair):
-    ref, tgt = pair
-    out = tmp_path / "run"
-    code = main(["match", str(ref), str(tgt), *QUICK, "--seed", "42", "--out", str(out)])
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["extras"]["seed"] == 42

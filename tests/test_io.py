@@ -145,21 +145,25 @@ def test_trajectory_csv_layout(tmp_path):
 
 
 def test_sweep_csv_blanks_diverged_cells(tmp_path):
-    grid = SweepGrid(alpha2_values=(0.5, 1.0), h_values=(0.4, 1.5), n_landmarks=8)
-    matrix = np.array([[12, DIVERGED], [9, 4]])
+    grid = SweepGrid(
+        alpha2_values=(0.5, 1.0, 0.1234567), h_values=(0.4, 1.5), n_landmarks=8
+    )
+    matrix = np.array([[12, DIVERGED], [9, 4], [7, 5]])
     path = write_sweep_csv(grid, matrix, tmp_path / "s.csv")
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["alpha2", "h", "iterations", "converged"]
     assert rows[1] == ["0.5", "0.4", "12", "true"]
     assert rows[2] == ["0.5", "1.5", "", "false"]
     assert rows[4] == ["1", "1.5", "4", "true"]
+    # Every grid value reads back exactly, not rounded to 6 digits.
+    assert rows[5] == ["0.1234567", "0.4", "7", "true"]
 
 
 def test_config_echo_is_json_ready():
     cfg = ShootingConfig(h=0.3, evolve=EvolveConfig(steps=50))
     echo = config_echo(cfg)
     json.dumps(echo)
-    assert echo["stop_rule"] == "residual"
+    assert echo["norm"] == "max"
     assert echo["evolve"]["steps"] == 50
     assert echo["system"]["sigma2"] == 0.0
 

@@ -15,7 +15,6 @@ from geoshoot import (
     PlanarIsometry,
     ResidualNorm,
     ShootingConfig,
-    StopRule,
     SystemSpec,
     UpdateSpace,
     circle,
@@ -159,37 +158,35 @@ def test_iteration_cap_reported(solve):
     assert "cap" in result.diagnosis
 
 
-def test_momentum_delta_stop_still_matches_exactly():
-    # On a sigma2 = 0 system the iterate-delta rule is just a delayed
-    # version of the residual rule: h * |r| < eps means |r| < eps / h.
-    result = match(REF, TGT, quick_cfg(stop_rule=StopRule.MOMENTUM_DELTA))
-    assert result.converged
-    assert result.final_residual < 10 * 1e-6
-
-
 def test_inexact_matching_lowers_the_hamiltonian():
-    inexact = match(
-        REF,
-        TGT,
-        quick_cfg(
-            h=0.4,
-            stop_rule=StopRule.MOMENTUM_DELTA,
-            system=SystemSpec(sigma2=0.3),
-        ),
-    )
+    inexact = match(REF, TGT, quick_cfg(h=0.4, system=SystemSpec(sigma2=0.3)))
     exact = match(REF, TGT, quick_cfg(h=0.4))
     assert inexact.converged and exact.converged
     assert inexact.hamiltonian < exact.hamiltonian
 
 
-def test_inexact_system_requires_momentum_delta_rule():
-    with pytest.raises(ConfigurationError, match="MomentumDelta"):
-        ShootingConfig(h=0.3, system=SystemSpec(sigma2=0.1))
+@pytest.mark.parametrize(
+    "h, sigma2, iterations, H",
+    [(0.4, 0.3, 21, 0.21668513616610366), (0.5, 0.1, 18, 0.2774373313496723)],
+)
+def test_inexact_match_stops_on_the_iterate_move(h, sigma2, iterations, H):
+    # sigma2 > 0 stops once h * |r|, measured before each update, drops
+    # below epsilon; the pinned values are those of the former explicit
+    # iterate-delta rule on the same configuration.
+    cfg = quick_cfg(h=h, system=SystemSpec(sigma2=sigma2))
+    result = match(REF, TGT, cfg)
+    assert result.converged
+    assert result.iterations == iterations
+    assert result.hamiltonian == H
+    first_miss = np.max(np.hypot(*(TGT.points - REF.points).T))
+    assert result.residual_history[0] == pytest.approx(h * first_miss)
+    assert result.residual_history[-1] < cfg.epsilon <= result.residual_history[-2]
+    assert result.final_residual < cfg.epsilon / h
 
 
-def test_newton_rejects_momentum_delta_rule():
-    cfg = quick_cfg(stop_rule=StopRule.MOMENTUM_DELTA)
-    with pytest.raises(ConfigurationError, match="TargetResidual"):
+def test_newton_rejects_inexact_system():
+    cfg = quick_cfg(system=SystemSpec(sigma2=0.3))
+    with pytest.raises(ConfigurationError, match="sigma2"):
         newton_match(REF, TGT, cfg)
 
 
@@ -209,11 +206,8 @@ def test_config_rejects_bad_tolerance_and_cap():
 
 
 def test_config_coerces_enum_strings():
-    cfg = ShootingConfig(
-        h=0.5, update_space="momentum", stop_rule="momentum-delta", norm="l2"
-    )
+    cfg = ShootingConfig(h=0.5, update_space="momentum", norm="l2")
     assert cfg.update_space is UpdateSpace.MOMENTUM
-    assert cfg.stop_rule is StopRule.MOMENTUM_DELTA
     assert cfg.norm is ResidualNorm.L2
 
 
