@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DegenerateConfigurationError,
     DivergenceError,
     require_count,
     require_positive,
@@ -26,7 +25,7 @@ from .integrator import EvolveConfig, evolve
 from .kernels import KernelFamily, KernelSpec
 from .particles import ParticleState, SystemSpec
 from .shapes import LandmarkTemplate, PlanarIsometry
-from .shooting import ShootingConfig, match
+from .shooting import MatchResult, ShootingConfig, _drive, match
 
 __all__ = [
     "DIVERGED",
@@ -260,33 +259,36 @@ def convergence_sweep(
     degenerates, or exhausts ``grid.max_iter``: divergence here is data,
     not an error.  A bad pair of templates (e.g. unequal landmark
     counts), or a ``grid.n_landmarks`` other than the templates' N,
-    still raises ConfigurationError.  Cells are independent; the matrix
-    is assembled in row-major order.
+    still raises ConfigurationError.  The whole grid runs as one
+    lockstep batch of the shooting driver: every round shoots all live
+    cells together, and a cell leaves the batch once it converges,
+    diverges or hits the cap.  Each cell's count is the one a lone
+    :func:`~geoshoot.shooting.match` of it gives.
     """
     if reference.n == target.n != grid.n_landmarks:
         raise ConfigurationError(
             f"grid.n_landmarks = {grid.n_landmarks} but the templates have "
             f"{reference.n} landmarks"
         )
-    out = np.empty((len(grid.alpha2_values), len(grid.h_values)), dtype=int)
-    for i, alpha2 in enumerate(grid.alpha2_values):
-        kernel = KernelSpec(
-            family=grid.kernel_family, alpha=math.sqrt(alpha2), normalized=True
+    kernels = [
+        KernelSpec(family=grid.kernel_family, alpha=math.sqrt(a2), normalized=True)
+        for a2 in grid.alpha2_values
+    ]
+    cfgs = [
+        ShootingConfig(
+            h=h,
+            epsilon=grid.tolerance,
+            max_iter=grid.max_iter,
+            system=SystemSpec(kernel=kernel),
         )
-        for j, h in enumerate(grid.h_values):
-            cfg = ShootingConfig(
-                h=h,
-                epsilon=grid.tolerance,
-                max_iter=grid.max_iter,
-                system=SystemSpec(kernel=kernel),
-            )
-            try:
-                res = match(reference, target, cfg)
-            except (DivergenceError, DegenerateConfigurationError):
-                out[i, j] = DIVERGED
-                continue
-            out[i, j] = res.iterations if res.converged else DIVERGED
-    return out
+        for kernel in kernels
+        for h in grid.h_values
+    ]
+    counts = [
+        res.iterations if isinstance(res, MatchResult) and res.converged else DIVERGED
+        for res in _drive(reference, target, cfgs, velocity=True, newton=False)
+    ]
+    return np.array(counts, dtype=int).reshape(len(grid.alpha2_values), -1)
 
 
 def predict(
@@ -340,7 +342,8 @@ def exact_vs_inexact(
 
     The first row is the exact run (sigma2 = 0, at ``cfg.h``), stopping
     once the endpoint residual |r| < epsilon; one more row follows per
-    requested sigma2.  An inexact row (sigma2 > 0) stops once the
+    requested sigma2 (a requested sigma2 = 0 at ``cfg.h`` reuses the
+    exact run rather than matching again).  An inexact row (sigma2 > 0) stops once the
     iterate's move h * |r| < epsilon, so its endpoint lies within about
     epsilon / h of the target.  Requested rows may need their own step
     size (large sigma2 destabilizes the feedback loop), supplied via
@@ -353,6 +356,10 @@ def exact_vs_inexact(
         h = cfg.h
         if k > 0 and h_by_sigma2 is not None:
             h = float(h_by_sigma2.get(s2, cfg.h))
+        if k > 0 and s2 == 0.0 and h == cfg.h:
+            # The exact run again: same config, same result.
+            rows.append(replace(rows[0], sigma2=s2, h=h))
+            continue
         row_cfg = replace(cfg, h=h, system=replace(cfg.system, sigma2=s2))
         rows.append(_exactness_row(reference, target, s2, row_cfg))
     return tuple(rows)

@@ -8,9 +8,12 @@ loop and the regression tests both rely on.
 
 :func:`evolve` validates its input once, through the
 :class:`~geoshoot.particles.ParticleState` it is given, and then runs
-on plain arrays: every stage calls the particle module's unvalidated
-``_rhs``, and a ``ParticleState`` is built only for the frames and the
-final state it returns.
+the RK4 loop :func:`_evolve_stack` on plain arrays: every stage calls
+the particle module's unvalidated ``_rhs``, and a ``ParticleState`` is
+built only for the frames and the final state it returns.  The loop
+advances a (B, N, 2) stack of systems in lockstep, which is how the
+shooting driver runs many matches at once; ``evolve`` is the stack of
+one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import (
     require_count,
     require_positive,
 )
+from .kernels import _constants, _members
 from .particles import ParticleState, SystemSpec, _rhs
 
 __all__ = ["EvolveConfig", "EvolveResult", "evolve"]
@@ -61,12 +65,81 @@ class EvolveResult:
         return np.array([t for t, _ in self.frames])
 
 
-def _check_finite(q: np.ndarray, p: np.ndarray, step: int, t: float) -> None:
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise DivergenceError(
-            f"non-finite state at step {step} (t = {t:.6g}); "
-            "the step size is too large for this configuration"
-        )
+def _evolve_stack(
+    spec: SystemSpec, k: tuple, q: np.ndarray, p: np.ndarray, config: EvolveConfig
+):
+    """RK4 over [0, t_final] for a (B, N, 2) stack of systems, in lockstep.
+
+    Member b starts from (q[b], p[b]) and runs with member b of the
+    kernel constants ``k`` (see :func:`~geoshoot.particles._rhs`).  Returns
+    (q, p, failures, frames).  ``failures`` maps each member that
+    degenerated (coincident interacting particles) or stopped being
+    finite to the DegenerateConfigurationError or DivergenceError that
+    ends it, with the step and time appended; a failed member leaves
+    the stack at the end of that step, its rows of the returned q and p
+    are meaningless, and no other member is affected.  ``frames`` holds
+    (t, q, p) of the live stack every ``capture_every`` steps and at
+    the end, with the initial state first, when capturing is on.
+    """
+    dt = config.t_final / config.steps
+    # Frame times come from the fraction (step / steps) * t_final so the
+    # last one lands on t_final exactly instead of accumulating dt error.
+    t_at = lambda i: config.t_final * (i / config.steps)
+    # C order, whatever the caller's layout (a Cholesky solve returns
+    # Fortran order): the BLAS products round differently per layout.
+    q, p = np.ascontiguousarray(q), np.ascontiguousarray(p)
+    out_q, out_p = np.empty_like(q), np.empty_like(p)
+    live = np.arange(len(q))
+    failures = {}
+
+    frames = []
+    if config.capture_every > 0:
+        frames.append((0.0, q.copy(), p.copy()))
+
+    # Oversized steps overflow to inf inside the stage evaluations before
+    # the finite-state check catches them; that path is expected, so the
+    # would-be RuntimeWarnings are suppressed here and nowhere else.  A
+    # non-finite stage needs no check of its own: it makes some k
+    # non-finite, and every k enters the step update with a nonzero
+    # weight, so the check after the update fails at the same step.  A
+    # member that degenerates at one stage runs on, meaninglessly, to
+    # the end of the step, and its first clash is the one reported.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            t = t_at(step)
+            k1q, k1p, c1 = _rhs(spec, q, p, k)
+            k2q, k2p, c2 = _rhs(spec, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p, k)
+            k3q, k3p, c3 = _rhs(spec, q + 0.5 * dt * k2q, p + 0.5 * dt * k2p, k)
+            k4q, k4p, c4 = _rhs(spec, q + dt * k3q, p + dt * k3p, k)
+            q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            failed = {
+                b: DegenerateConfigurationError(
+                    f"{exc} (during step {step + 1}, t in [{t:.6g}, {t + dt:.6g}])"
+                )
+                for b, exc in {**c4, **c3, **c2, **c1}.items()
+            }
+            if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                finite = np.isfinite(q).all(axis=(1, 2))
+                finite &= np.isfinite(p).all(axis=(1, 2))
+                for b in np.flatnonzero(~finite):
+                    failed.setdefault(int(b), DivergenceError(
+                        f"non-finite state at step {step + 1} "
+                        f"(t = {t_at(step + 1):.6g}); "
+                        "the step size is too large for this configuration"
+                    ))
+            if failed:
+                keep = np.ones(len(q), dtype=bool)
+                keep[list(failed)] = False
+                failures.update((int(live[b]), exc) for b, exc in failed.items())
+                q, p, k, live = q[keep], p[keep], _members(k, keep), live[keep]
+            if config.capture_every > 0 and (
+                (step + 1) % config.capture_every == 0 or step + 1 == config.steps
+            ):
+                frames.append((t_at(step + 1), q.copy(), p.copy()))
+
+    out_q[live], out_p[live] = q, p
+    return out_q, out_p, failures, frames
 
 
 def evolve(
@@ -74,47 +147,18 @@ def evolve(
 ) -> EvolveResult:
     """Integrate the system from ``state`` over [0, t_final].
 
-    Raises DivergenceError when the state stops being finite and
-    re-raises particle coincidence errors with the step and time at
-    which they occurred appended.
+    Runs the RK4 loop on a stack of one.  Raises DivergenceError when
+    the state stops being finite and re-raises particle coincidence
+    errors with the step and time at which they occurred appended.
     """
     if config is None:
         config = EvolveConfig()
-    dt = config.t_final / config.steps
-    # Frame times come from the fraction (step / steps) * t_final so the
-    # last one lands on t_final exactly instead of accumulating dt error.
-    t_at = lambda k: config.t_final * (k / config.steps)
-    q = state.q.copy()
-    p = state.p.copy()
-
-    frames = []
-    if config.capture_every > 0:
-        frames.append((0.0, ParticleState(q.copy(), p.copy())))
-
-    # Oversized steps overflow to inf inside the stage evaluations before
-    # the finite-state check catches them; that path is expected, so the
-    # would-be RuntimeWarnings are suppressed here and nowhere else.  A
-    # non-finite stage needs no check of its own: it makes some k
-    # non-finite, and every k enters the step update with a nonzero
-    # weight, so the check after the update raises at the same step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.steps):
-            t = t_at(step)
-            try:
-                k1q, k1p = _rhs(spec, q, p)
-                k2q, k2p = _rhs(spec, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
-                k3q, k3p = _rhs(spec, q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
-                k4q, k4p = _rhs(spec, q + dt * k3q, p + dt * k3p)
-            except DegenerateConfigurationError as exc:
-                raise DegenerateConfigurationError(
-                    f"{exc} (during step {step + 1}, t in [{t:.6g}, {t + dt:.6g}])"
-                ) from exc
-            q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            _check_finite(q, p, step + 1, t_at(step + 1))
-            if config.capture_every > 0 and (
-                (step + 1) % config.capture_every == 0 or step + 1 == config.steps
-            ):
-                frames.append((t_at(step + 1), ParticleState(q.copy(), p.copy())))
-
-    return EvolveResult(final=ParticleState(q, p), frames=tuple(frames))
+    q, p, failures, frames = _evolve_stack(
+        spec, _constants([spec.kernel]), state.q[None], state.p[None], config
+    )
+    if failures:
+        raise failures[0]
+    return EvolveResult(
+        final=ParticleState(q[0], p[0]),
+        frames=tuple((t, ParticleState(fq[0], fp[0])) for t, fq, fp in frames),
+    )

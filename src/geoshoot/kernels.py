@@ -86,34 +86,74 @@ class KernelSpec:
         return 1.0 / (2.0 * math.pi * a2)
 
 
-def _kernel_terms(spec: KernelSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _member_constants(spec: KernelSpec) -> tuple:
+    """alpha, alpha**2, G(0), and the Bessel factors c and c / alpha of one
+    kernel, as scalars (c is 0 outside the bessel family).
+
+    A batch of kernels stacks these per member (:func:`_constants`), so
+    every member's terms round exactly as a lone kernel's do.
+    """
+    alpha = spec.alpha
+    c = 0.0
+    if spec.family is KernelFamily.BESSEL:
+        c = 2.0 ** (1.0 - spec.nu) / (
+            2.0 * math.pi * alpha ** (1.0 + spec.nu) * _gamma(spec.nu)
+        )
+    return alpha, alpha**2, spec.peak(), c, c / alpha
+
+
+def _constants(specs) -> tuple:
+    """The :func:`_member_constants` of a stack of kernels that share
+    family, nu and normalization (only alpha may differ).
+
+    Each constant is one float where every member shares it, and else a
+    (B, 1, 1) array of the members' values, which broadcasts over
+    (B, rows, N) radii.
+    """
+    return tuple(
+        col[0] if all(v == col[0] for v in col) else np.array(col)[:, None, None]
+        for col in zip(*(_member_constants(s) for s in specs))
+    )
+
+
+def _members(k: tuple, index) -> tuple:
+    """The constants of the members ``index`` (a slice or a boolean mask)
+    of a :func:`_constants` stack."""
+    return tuple(v if np.ndim(v) == 0 else v[index] for v in k)
+
+
+def _kernel_terms(
+    spec: KernelSpec, r: np.ndarray, k: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """G(r) and dG/dr over an array of radii r >= 0, from one evaluation of
     the family's exp (or of each Bessel order).
 
-    G is exact at r = 0.  dG/dr there is finite but meaningless (the
-    conical kernel's derivative jumps at the origin), so callers mask it.
-    The slope is returned as dG/dr, not dG/dr / r: the particle system
-    weights it by the momentum product before dividing by r, and dividing
-    first would round every conical rhs, and so every match, differently.
+    ``k`` holds the kernel constants: ``spec``'s own by default, or a
+    :func:`_constants` stack for a (B, rows, N) batch of radii, whose
+    members then differ in alpha only.  G is exact at r = 0.  dG/dr
+    there is finite but meaningless (the conical kernel's derivative
+    jumps at the origin), so callers mask it.  The slope is returned as
+    dG/dr, not dG/dr / r: the particle system weights it by the momentum
+    product before dividing by r, and dividing first would round every
+    conical rhs, and so every match, differently.
     """
+    alpha, alpha2, peak, c, c_alpha = _member_constants(spec) if k is None else k
     if spec.family is KernelFamily.BESSEL:
         # d/dz [z^mu K_mu(z)] = -z^mu K_(mu-1)(z), with z = r / alpha.
         mu = spec.nu - 1.0
-        c = 2.0 ** (1.0 - spec.nu) / (
-            2.0 * math.pi * spec.alpha ** (1.0 + spec.nu) * _gamma(spec.nu)
-        )
-        peak = spec.peak()
         value = np.full_like(r, peak)
         slope = np.zeros_like(r)
         pos = r > 0
         rp = r[pos]
+        at = lambda v: np.broadcast_to(v, r.shape)[pos]  # noqa: E731
+        z = rp / at(alpha)
         r_mu = rp**mu
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = c * r_mu * _besselk(mu, rp / spec.alpha)
+            vals = at(c) * r_mu * _besselk(mu, z)
         # kv overflows for extremely small arguments at large order; the
         # product is finite there and indistinguishable from the peak
-        value[pos] = np.where(np.isfinite(vals), vals, peak)
-        slope[pos] = -(c / spec.alpha) * r_mu * _besselk(mu - 1.0, rp / spec.alpha)
+        value[pos] = np.where(np.isfinite(vals), vals, at(peak))
+        slope[pos] = -at(c_alpha) * r_mu * _besselk(mu - 1.0, z)
         if spec.normalized:
             value /= peak
             slope /= peak
@@ -121,17 +161,16 @@ def _kernel_terms(spec: KernelSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     if spec.family is KernelFamily.CONICAL:
         # In place: at N = 1024 every (N, N) temporary is 8 MB of peak memory.
-        value = np.negative(r)
-        value /= spec.alpha
+        # x / -alpha is -(x / alpha) bit for bit, one pass fewer.
+        value = np.divide(r, -alpha)
         np.exp(value, out=value)
-        slope = np.negative(value)
-        slope /= spec.alpha
+        slope = np.divide(value, -alpha)
     else:
-        value = np.exp(-0.5 * (r / spec.alpha) ** 2)
-        slope = -(r / spec.alpha**2) * value
+        value = np.exp(-0.5 * (r / alpha) ** 2)
+        slope = -(r / alpha2) * value
     if not spec.normalized:
-        value *= spec.peak()
-        slope *= spec.peak()
+        value *= peak
+        slope *= peak
     return value, slope
 
 
@@ -170,6 +209,14 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
+def _block_members(n: int) -> int:
+    """Members of a batch of n-point sets per block: a block of
+    ``members x rows x n`` entries stays within ``_BLOCK_ENTRIES``, with
+    rows per block still a function of n alone, so that each member's
+    arithmetic is the same as alone."""
+    return max(1, _BLOCK_ENTRIES // (min(_block_rows(n), n) * n))
+
+
 def as_points(points, name: str = "points", n: int | None = None) -> np.ndarray:
     """``points`` as a float (N, 2) array with finite entries and N >= 1,
     or N = ``n`` when given.
@@ -190,13 +237,14 @@ def pairwise_distances(points, others=None) -> np.ndarray:
     """Matrix of Euclidean distances from planar ``points`` to ``others``
     (to ``points`` themselves by default, giving a symmetric matrix).
 
-    Works on the two coordinate differences in place, never on an
-    (N, M, 2) difference tensor.
+    Both may carry leading batch axes, (..., M, 2) and (..., N, 2), for
+    a (..., M, N) stack.  Works on the two coordinate differences in
+    place, never on an (N, M, 2) difference tensor.
     """
     pts = np.asarray(points, dtype=float)
     oth = pts if others is None else np.asarray(others, dtype=float)
-    dx = pts[:, 0, None] - oth[None, :, 0]
-    dy = pts[:, 1, None] - oth[None, :, 1]
+    dx = pts[..., :, 0, None] - oth[..., None, :, 0]
+    dy = pts[..., :, 1, None] - oth[..., None, :, 1]
     dx *= dx
     dy *= dy
     dx += dy
@@ -205,10 +253,14 @@ def pairwise_distances(points, others=None) -> np.ndarray:
 
 def pairwise_blocks(x: np.ndarray, q: np.ndarray):
     """The package's one pairwise pass: distances from points ``x`` to points
-    ``q`` in row blocks, as (s, dist) with dist[i, j] = |x[s + i] - q[j]|."""
-    rows = _block_rows(len(q))
-    for s in range(0, len(x), rows):
-        yield s, pairwise_distances(x[s : s + rows], q)
+    ``q`` in row blocks, as (s, dist) with dist[i, j] = |x[s + i] - q[j]|.
+
+    A (B, M, 2) and (B, N, 2) batch gives (B, rows, N) blocks, with the
+    same rows per block as one member alone.
+    """
+    rows = _block_rows(q.shape[-2])
+    for s in range(0, x.shape[-2], rows):
+        yield s, pairwise_distances(x[..., s : s + rows, :], q)
 
 
 def coincident_pair(dist: np.ndarray, start: int = 0):

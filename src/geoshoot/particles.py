@@ -16,9 +16,12 @@ as integration diagnostics.
 
 Input is validated at the public boundary: :class:`ParticleState`
 checks shapes and finiteness once, and :func:`rhs` hands its arrays to
-the unvalidated ``_rhs``, which :func:`geoshoot.integrator.evolve` calls
-directly on every RK4 stage.  Every kernel sum here is a loop over the
-row blocks of :func:`geoshoot.kernels.pairwise_blocks`, so no full
+the unvalidated ``_rhs``, which the RK4 loop of
+:mod:`geoshoot.integrator` calls directly on every stage.  ``_rhs``
+works on a (B, N, 2) stack of systems that may differ in kernel width,
+so that many independent shoots advance in lockstep; each member's
+arithmetic is the same as alone.  Every kernel sum here is a loop over
+the row blocks of :func:`geoshoot.kernels.pairwise_blocks`, so no full
 (N, N) matrix is held: each block's distances are computed once and its
 rows of the sum added.
 """
@@ -31,7 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateConfigurationError
-from .kernels import KernelSpec, _kernel_terms, as_points, kernel_value, pairwise_blocks
+from .kernels import (
+    KernelSpec,
+    _block_members,
+    _constants,
+    _kernel_terms,
+    _members,
+    as_points,
+    kernel_value,
+    pairwise_blocks,
+)
 
 __all__ = [
     "ParticleState",
@@ -76,56 +88,72 @@ class SystemSpec:
             )
 
 
-def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray):
-    """(dq, dp) on raw (N, 2) arrays, with no input validation.
+def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray, k: tuple):
+    """(dq, dp, clashes) on raw (B, N, 2) stacks, with no input validation.
 
-    With K[i,j] = G(d_ij) and A[i,j] = (p_i.p_j) G'(d_ij) / d_ij off the
-    diagonal (zero on it), dq = K p and dp_i = -sum_j A[i,j] (q_i - q_j).
-    Coincident pairs are tolerated only when their momentum product
-    vanishes, in which case their A entry is zero.  Rows s:e of K and A
-    are built one block of :func:`pairwise_blocks` at a time, so their
-    diagonal is the flat strided slice [s::N+1] of the block.
+    Member b runs the system with ``spec``'s sigma2 and kernel family
+    and with member b of the kernel constants ``k`` (a
+    :func:`~geoshoot.kernels._constants` stack), so the members of one
+    stack may differ in alpha.  With K[i,j] = G(d_ij) and
+    A[i,j] = (p_i.p_j) G'(d_ij) / d_ij off the diagonal (zero on it),
+    dq = K p and dp_i = -sum_j A[i,j] (q_i - q_j).  Coincident pairs are
+    tolerated only when their momentum product vanishes, in which case
+    their A entry is zero; ``clashes`` maps each member that has an
+    interacting coincident pair to the error that pair raises, and that
+    member's (dq, dp) is then meaningless.  The members are taken in
+    chunks of :func:`~geoshoot.kernels._block_members`, and rows s:e of
+    each chunk's K and A are built one block of :func:`pairwise_blocks`
+    at a time, so every member's diagonal is the flat strided slice
+    [s::N+1] of its block.
     """
-    n = len(q)
+    n = q.shape[1]
     dq = np.empty_like(p)
     dp = np.empty_like(q)
-    for s, dist in pairwise_blocks(q, q):
-        e = s + len(dist)
-        qb = q[s:e]
-        kmat, a = _kernel_terms(spec.kernel, dist)
-        pdot = p[s:e] @ p.T
-        # dist is exactly 0 on the diagonal; any other 0 is a coincident pair.
-        dist.reshape(-1)[s :: n + 1] = 1.0
-        coincident = None
-        if np.count_nonzero(dist) < dist.size:
-            coincident = dist == 0.0
-            clash = np.argwhere(coincident & (pdot != 0.0))
-            if len(clash):
-                i, j = clash[0]
-                raise DegenerateConfigurationError(
-                    f"particles {s + i} and {j} coincide with interacting momenta; "
-                    "the momentum equation is singular there"
-                )
-            dist[coincident] = 1.0
-        a *= pdot
-        a /= dist
-        a.reshape(-1)[s :: n + 1] = 0.0
-        if coincident is not None:
-            a[coincident] = 0.0
-        # Written into dq and dp in place: at small N each temporary and
-        # copy is a measurable share of the call.
-        np.matmul(kmat, p, out=dq[s:e])
-        dpb = a.sum(axis=1)[:, None] * qb
-        dpb -= a @ q
-        np.negative(dpb, out=dp[s:e])
+    clashes = {}
+    chunk = _block_members(n)
+    for c in range(0, len(q), chunk):
+        qc, pc = q[c : c + chunk], p[c : c + chunk]
+        kc = k if chunk >= len(q) else _members(k, slice(c, c + chunk))
+        pt = pc.transpose(0, 2, 1)
+        for s, dist in pairwise_blocks(qc, qc):
+            e = s + dist.shape[1]
+            kmat, a = _kernel_terms(spec.kernel, dist, kc)
+            pdot = pc[:, s:e] @ pt
+            # dist is exactly 0 on the diagonal; any other 0 is a coincident pair.
+            dist.reshape(len(dist), -1)[:, s :: n + 1] = 1.0
+            coincident = None
+            if np.count_nonzero(dist) < dist.size:
+                coincident = dist == 0.0
+                for b, i, j in np.argwhere(coincident & (pdot != 0.0)):
+                    clashes.setdefault(int(c + b), DegenerateConfigurationError(
+                        f"particles {s + i} and {j} coincide with interacting "
+                        "momenta; the momentum equation is singular there"
+                    ))
+                dist[coincident] = 1.0
+            a *= pdot
+            a /= dist
+            a.reshape(len(a), -1)[:, s :: n + 1] = 0.0
+            if coincident is not None:
+                a[coincident] = 0.0
+            # Written into dq and dp in place: at small N each temporary and
+            # copy is a measurable share of the call.  A @ q - (A 1) q_i is
+            # the negated (A 1) q_i - A @ q, bit for bit.
+            np.matmul(kmat, pc, out=dq[c : c + chunk, s:e])
+            row_sums = np.add.reduce(a, axis=2, keepdims=True)
+            np.subtract(a @ qc, row_sums * qc[:, s:e], out=dp[c : c + chunk, s:e])
     if spec.sigma2 != 0.0:
         dq += spec.sigma2 * p
-    return dq, dp
+    return dq, dp, clashes
 
 
 def rhs(spec: SystemSpec, state: ParticleState) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (dq, dp) of the particle system at ``state``."""
-    return _rhs(spec, state.q, state.p)
+    dq, dp, clashes = _rhs(
+        spec, state.q[None], state.p[None], _constants([spec.kernel])
+    )
+    if clashes:
+        raise clashes[0]
+    return dq[0], dp[0]
 
 
 def hamiltonian(spec: SystemSpec, state: ParticleState) -> float:

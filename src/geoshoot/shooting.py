@@ -32,8 +32,8 @@ from .errors import (
     require_count,
     require_positive,
 )
-from .integrator import EvolveConfig, evolve
-from .kernels import KernelSpec, as_points, gram_matrix
+from .integrator import EvolveConfig, _evolve_stack
+from .kernels import KernelSpec, _constants, as_points, gram_matrix
 from .particles import ParticleState, SystemSpec, hamiltonian
 from .shapes import LandmarkTemplate
 
@@ -178,9 +178,19 @@ def momenta_from_velocity(kernel: KernelSpec, q0, u0) -> np.ndarray:
     return _GramSolver(kernel, q0).solve(u0)
 
 
-def _shoot(cfg: ShootingConfig, q0: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Endpoint at t_final of the geodesic with initial momenta ``p``."""
-    return evolve(cfg.system, ParticleState(q0, p), cfg.evolve).final.q
+def _shoot(cfg: ShootingConfig, q0: np.ndarray, ps: list, kernels: list):
+    """Endpoints at t_final of the geodesics from ``q0`` with initial
+    momenta ``ps[b]`` under kernel ``kernels[b]``, shot in lockstep.
+
+    Returns the (B, N, 2) endpoints and the failures of
+    :func:`~geoshoot.integrator._evolve_stack`, by member; a failed
+    member's endpoint is meaningless.
+    """
+    q = np.repeat(q0[None], len(ps), axis=0)
+    end, _, failures, _ = _evolve_stack(
+        cfg.system, _constants(kernels), q, np.stack(ps), cfg.evolve
+    )
+    return end, failures
 
 
 def _newton_direction(
@@ -207,88 +217,176 @@ def _newton_direction(
     return newton_step.reshape(x.shape)
 
 
+class _Cell:
+    """One match of the lockstep driver: its config, Gram factor, iterate
+    and stopping state, starting from x = p = 0."""
+
+    def __init__(self, index: int, cfg: ShootingConfig, solver, q0: np.ndarray):
+        self.index = index
+        self.cfg = cfg
+        self.solver = solver
+        self.q0 = q0
+        self.x = np.zeros(q0.shape)
+        self.p = np.zeros(q0.shape)
+        self.endpoint = self.residual = self.initial = self.value = None
+        self.history = []
+
+    def momenta(self, x: np.ndarray) -> np.ndarray:
+        return x if self.solver is None else self.solver.solve(x)
+
+    def probe(self, x: np.ndarray) -> np.ndarray:
+        """Endpoint of this cell's shoot from iterate ``x`` alone; raises
+        the error that ends a failed shoot."""
+        kernel = self.cfg.system.kernel
+        ends, failures = _shoot(self.cfg, self.q0, [self.momenta(x)], [kernel])
+        if failures:
+            raise failures[0]
+        return ends[0]
+
+
 def _drive(
     reference: LandmarkTemplate,
     target: LandmarkTemplate,
-    cfg: ShootingConfig,
+    cfgs: list,
     velocity: bool,
     newton: bool,
-) -> MatchResult:
-    """The shooting iteration behind :func:`match` and :func:`newton_match`.
+) -> list:
+    """The shooting iteration behind :func:`match`, :func:`newton_match`
+    and the analysis sweeps: one match per config in ``cfgs``, in lockstep.
 
-    The iterate x is the initial velocity u (``velocity``: the Gram
-    solve maps it to momenta) or the momenta p themselves.  It starts
-    at 0 and moves by h times a direction: the endpoint residual r, or
-    the Newton step J^-1 r (``newton``).  The stopping norm is |r| for
-    an exact system and h * |r| for an inexact one (sigma2 > 0); the
-    latter is the iterate's move only under the feedback update, so
-    Newton takes only exact systems.
+    Every cell's iterate x is the initial velocity u (``velocity``: its
+    Gram solve maps it to momenta) or the momenta p themselves.  It
+    starts at 0 and moves by the cell's h times a direction: the
+    endpoint residual r, or the Newton step J^-1 r (``newton``, whose
+    finite-difference probes are shot one at a time).  The stopping
+    norm is |r| for an exact system and h * |r| for an inexact one
+    (sigma2 > 0); the latter is the iterate's move only under the
+    feedback update, so Newton takes only exact systems.
+
+    Each round shoots every live cell at once through one
+    :func:`~geoshoot.integrator._evolve_stack` call.  The configs share
+    the evolution grid and the system but for the kernel's alpha, so
+    each cell has its own h, kernel, Gram factor (one per kernel) and
+    stopping state, and a cell's arithmetic is the same as alone.  A
+    cell leaves the stack once it converges, hits its ``max_iter``, blows
+    up, goes non-finite or degenerates; the others are not affected.
+    Returns, per config, its MatchResult, or the DivergenceError or
+    DegenerateConfigurationError that ended it outside its shoots (e.g.
+    a Gram matrix that is not positive definite).
     """
     if reference.n != target.n:
         raise ConfigurationError(
             f"templates must have equal landmark counts: "
             f"{reference.n} (reference) vs {target.n} (target)"
         )
-    if newton and cfg.system.sigma2 > 0:
+    if newton and any(cfg.system.sigma2 > 0 for cfg in cfgs):
         raise ConfigurationError("newton_match supports only exact systems (sigma2 = 0)")
-    q0 = reference.points
-    solver = _GramSolver(cfg.system.kernel, q0) if velocity else None
-    to_momenta = solver.solve if velocity else (lambda x: x)
-    shoot = lambda x: _shoot(cfg, q0, to_momenta(x))
-    residual_rule = cfg.system.sigma2 == 0
-
-    x = np.zeros(q0.shape)
-    p = np.zeros(q0.shape)
-    endpoint = _shoot(cfg, q0, p)
-    residual = target.points - endpoint
-    history: list = []
-
-    def finish(converged: bool, diagnosis: str | None = None) -> MatchResult:
-        return MatchResult(
-            p0=p,
-            iterations=len(history),
-            converged=converged,
-            residual_history=tuple(history),
-            hamiltonian=hamiltonian(cfg.system, ParticleState(q0, p)),
-            final_template=LandmarkTemplate(
-                endpoint, f"{reference.label}>{target.label}"
-            ),
-            final_residual=_norm(cfg.norm, target.points - endpoint),
-            diagnosis=diagnosis,
-            warnings=solver.warnings() if velocity else (),
-        )
-
-    initial = _norm(cfg.norm, residual) if residual_rule else None
-    if residual_rule and initial < cfg.epsilon:
-        return finish(True)
-
-    for _ in range(cfg.max_iter):
-        if not residual_rule:
-            value = cfg.h * _norm(cfg.norm, residual)
-        if newton:
-            x = x + cfg.h * _newton_direction(shoot, x, endpoint, residual)
-        else:
-            x = x + cfg.h * residual
-        p = to_momenta(x)
+    q0, goal = reference.points, target.points
+    residual_rule = cfgs[0].system.sigma2 == 0
+    results = [None] * len(cfgs)
+    solvers = {}
+    cells = []
+    for i, cfg in enumerate(cfgs):
+        kernel = cfg.system.kernel
         try:
-            endpoint = _shoot(cfg, q0, p)
-        except (DivergenceError, DegenerateConfigurationError) as exc:
-            # endpoint still holds the last finite shoot.
-            return finish(False, f"step too large ({exc})")
-        residual = target.points - endpoint
+            if velocity and kernel not in solvers:
+                solvers[kernel] = _GramSolver(kernel, q0)
+        except DegenerateConfigurationError as exc:
+            results[i] = exc
+            continue
+        cells.append(_Cell(i, cfg, solvers[kernel] if velocity else None, q0))
+
+    def finish(cell: _Cell, converged: bool, diagnosis: str | None = None) -> None:
+        cfg = cell.cfg
+        try:
+            results[cell.index] = MatchResult(
+                p0=cell.p,
+                iterations=len(cell.history),
+                converged=converged,
+                residual_history=tuple(cell.history),
+                hamiltonian=hamiltonian(cfg.system, ParticleState(q0, cell.p)),
+                final_template=LandmarkTemplate(
+                    cell.endpoint, f"{reference.label}>{target.label}"
+                ),
+                final_residual=_norm(cfg.norm, goal - cell.endpoint),
+                diagnosis=diagnosis,
+                warnings=cell.solver.warnings() if velocity else (),
+            )
+        except DegenerateConfigurationError as exc:
+            results[cell.index] = exc
+
+    def shoot(live: list) -> dict:
+        """Shoot every live cell from its momenta; the failed ones, by cell,
+        keep their last endpoint."""
+        ends, failures = _shoot(
+            cfgs[0], q0, [c.p for c in live], [c.cfg.system.kernel for c in live]
+        )
+        for b, cell in enumerate(live):
+            if b not in failures:
+                cell.endpoint = ends[b]
+                cell.residual = goal - cell.endpoint
+        return {live[b]: exc for b, exc in failures.items()}
+
+    for cell, exc in shoot(cells).items():
+        results[cell.index] = exc
+    live = []
+    for cell in cells:
+        if results[cell.index] is not None:
+            continue
         if residual_rule:
-            value = _norm(cfg.norm, residual)
-        elif initial is None:
-            initial = value
-        history.append(value)
+            cell.initial = _norm(cell.cfg.norm, cell.residual)
+            if cell.initial < cell.cfg.epsilon:
+                finish(cell, True)
+                continue
+        live.append(cell)
 
-        blown_up = initial > 0 and value > _BLOWUP_FACTOR * initial
-        if not math.isfinite(value) or blown_up:
-            return finish(False, "step too large")
-        if value < cfg.epsilon:
-            return finish(True)
+    while live:
+        for cell in live:
+            cfg = cell.cfg
+            if not residual_rule:
+                cell.value = cfg.h * _norm(cfg.norm, cell.residual)
+            if newton:
+                step = _newton_direction(
+                    cell.probe, cell.x, cell.endpoint, cell.residual
+                )
+                cell.x = cell.x + cfg.h * step
+            else:
+                cell.x = cell.x + cfg.h * cell.residual
+            cell.p = cell.momenta(cell.x)
+        failed = shoot(live)
+        still = []
+        for cell in live:
+            cfg = cell.cfg
+            if cell in failed:
+                # cell.endpoint still holds the last finite shoot.
+                finish(cell, False, f"step too large ({failed[cell]})")
+                continue
+            if residual_rule:
+                cell.value = _norm(cfg.norm, cell.residual)
+            elif cell.initial is None:
+                cell.initial = cell.value
+            value = cell.value
+            cell.history.append(value)
 
-    return finish(False, "iteration cap reached before the stopping rule")
+            blown_up = cell.initial > 0 and value > _BLOWUP_FACTOR * cell.initial
+            if not math.isfinite(value) or blown_up:
+                finish(cell, False, "step too large")
+            elif value < cfg.epsilon:
+                finish(cell, True)
+            elif len(cell.history) == cfg.max_iter:
+                finish(cell, False, "iteration cap reached before the stopping rule")
+            else:
+                still.append(cell)
+        live = still
+    return results
+
+
+def _single(results: list) -> MatchResult:
+    """The one result of a one-cell drive, raising the error that ended it."""
+    (res,) = results
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def match(
@@ -308,7 +406,7 @@ def match(
     reports converged = False.
     """
     velocity = cfg.update_space is UpdateSpace.VELOCITY
-    return _drive(reference, target, cfg, velocity, newton=False)
+    return _single(_drive(reference, target, [cfg], velocity, newton=False))
 
 
 def contraction_diagnostics(result: MatchResult) -> list:
@@ -342,4 +440,4 @@ def newton_match(
     that the feedback loop avoids all of them.  Only exact systems
     (sigma2 = 0) are supported: Newton stops on the endpoint residual.
     """
-    return _drive(reference, target, cfg, velocity=True, newton=True)
+    return _single(_drive(reference, target, [cfg], velocity=True, newton=True))

@@ -329,12 +329,13 @@ def test_criterion_11_feedback_beats_newton_walltime(monkeypatch):
     # Shoots are counted next to the wall times: the counts are the same
     # on every run, so they show whether a wall ratio moved with the work.
     shoots = [0]
+    evolve_stack = shooting._evolve_stack
 
-    def counted_evolve(*args, **kwargs):
-        shoots[0] += 1
-        return evolve(*args, **kwargs)
+    def counted_evolve(spec, k, q, *args):
+        shoots[0] += len(q)  # one shoot per member of the stack
+        return evolve_stack(spec, k, q, *args)
 
-    monkeypatch.setattr(shooting, "evolve", counted_evolve)
+    monkeypatch.setattr(shooting, "_evolve_stack", counted_evolve)
 
     def timed(solve, *args):
         shoots[0] = 0

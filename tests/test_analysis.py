@@ -11,11 +11,13 @@ from geoshoot import (
     DistanceRecord,
     DivergenceError,
     EvolveConfig,
+    KernelSpec,
     LandmarkTemplate,
     ParticleState,
     PlanarIsometry,
     ShootingConfig,
     SweepGrid,
+    SystemSpec,
     circle,
     cluster_test,
     convergence_sweep,
@@ -29,6 +31,7 @@ from geoshoot import (
     shape_distance,
     triangle_inequality_audit,
 )
+from geoshoot import analysis, kernels, shooting
 
 REF = circle(1.0, n=8)
 TGT = ellipse_rot_shift(1.3, 0.9, 0.0, (0.1, 0.0), n=8)
@@ -237,3 +240,64 @@ def test_exactness_table_layout_and_trend():
 def test_exactness_rejects_negative_sigma2():
     with pytest.raises(ConfigurationError, match="sigma2"):
         exact_vs_inexact(REF, TGT, [-0.1], CFG)
+
+
+def _grid_cfgs(alpha2_values, h_values, **kw):
+    return [
+        ShootingConfig(h=h, system=SystemSpec(kernel=KernelSpec(alpha=math.sqrt(a2))), **kw)
+        for a2 in alpha2_values
+        for h in h_values
+    ]
+
+
+@pytest.mark.parametrize(
+    "ref, tgt, cfgs",
+    [
+        # Converging, capped (h = 0.4 needs 12), blown-up and non-finite cells.
+        (REF, TGT, _grid_cfgs((0.5, 1.0), (0.4, 0.8, 6.0, 1e100), epsilon=1e-3, max_iter=10)),
+        # Nine cells at N = 64 run as two member chunks of the stacked rhs.
+        (
+            circle(2.0, n=64),
+            heart4(64),
+            _grid_cfgs(
+                (0.3, 0.6, 1.0), (0.3, 0.6, 0.9),
+                epsilon=1e-2, max_iter=6, evolve=EvolveConfig(steps=10),
+            ),
+        ),
+    ],
+    ids=["mixed", "n64"],
+)
+def test_lockstep_cells_equal_lone_matches(ref, tgt, cfgs):
+    results = shooting._drive(ref, tgt, cfgs, velocity=True, newton=False)
+    outcomes = set()
+    assert len(results) == len(cfgs)
+    for cfg, res in zip(cfgs, results):
+        alone = match(ref, tgt, cfg)
+        assert res.iterations == alone.iterations
+        assert res.converged == alone.converged
+        assert res.diagnosis == alone.diagnosis
+        assert res.hamiltonian == alone.hamiltonian
+        assert res.p0.tobytes() == alone.p0.tobytes()
+        outcomes.add((res.diagnosis or "converged").split(" (")[0])
+    if ref is REF:
+        assert outcomes == {
+            "converged",
+            "iteration cap reached before the stopping rule",
+            "step too large",
+        }
+        assert any("non-finite" in (res.diagnosis or "") for res in results)
+    else:
+        assert kernels._block_members(64) < len(cfgs)
+
+
+def test_requested_exact_row_reuses_the_exact_run(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(analysis, "match", counted)
+    exact, zero, _ = exact_vs_inexact(REF, TGT, [0.0, 0.3], CFG, h_by_sigma2={0.3: 0.4})
+    assert len(calls) == 2
+    assert zero == exact

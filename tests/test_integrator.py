@@ -13,6 +13,7 @@ from geoshoot import (
     conserved_quantities,
     evolve,
 )
+from geoshoot import integrator, kernels
 
 
 def _swirl_state(n=8, radius=2.0):
@@ -117,3 +118,56 @@ def test_config_validation():
 def test_single_step_runs():
     out = evolve(SystemSpec(), _swirl_state(), EvolveConfig(steps=1))
     assert np.all(np.isfinite(out.final.q))
+
+
+def test_single_system_errors_keep_their_step_and_time():
+    # evolve runs a stack of one; its errors read as they always have.
+    q = np.array([[-0.5, 0.0], [0.5, 0.0]])
+    p = np.array([[1e200, 0.0], [-1e200, 0.0]])
+    with pytest.raises(DivergenceError) as err:
+        evolve(SystemSpec(), ParticleState(q, p), EvolveConfig(steps=4))
+    assert str(err.value) == (
+        "non-finite state at step 1 (t = 0.25); "
+        "the step size is too large for this configuration"
+    )
+    q = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+    p = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(DegenerateConfigurationError) as err:
+        evolve(SystemSpec(), ParticleState(q, p), EvolveConfig(steps=10))
+    assert str(err.value) == (
+        "particles 0 and 1 coincide with interacting momenta; the momentum "
+        "equation is singular there (during step 1, t in [0, 0.1])"
+    )
+
+
+def test_stack_failures_leave_the_other_members_unchanged():
+    """A degenerate and a diverging member fail with the errors they raise
+    alone; the others end exactly where they end alone."""
+    swirl = _swirl_state(n=3)
+    q = np.stack([
+        swirl.q,
+        [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+        [[-0.5, 0.0], [0.5, 0.0], [3.0, 0.0]],
+        1.5 * swirl.q,
+    ])
+    p = np.stack([
+        swirl.p,
+        [[0.0, 1.0], [0.0, 1.0], [0.0, 0.0]],
+        [[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0]],
+        -swirl.p,
+    ])
+    specs = [KernelSpec(alpha=a) for a in (0.7, 1.0, 1.2, 1.6)]
+    config = EvolveConfig(steps=8)
+    end_q, end_p, failures, _ = integrator._evolve_stack(
+        SystemSpec(kernel=specs[0]), kernels._constants(specs), q, p, config
+    )
+    assert sorted(failures) == [1, 2]
+    for b, spec in enumerate(specs):
+        run = lambda: evolve(SystemSpec(kernel=spec), ParticleState(q[b], p[b]), config)
+        if b in failures:
+            with pytest.raises(type(failures[b])) as err:
+                run()
+            assert str(err.value) == str(failures[b])
+        else:
+            alone = run().final
+            assert np.array_equal(end_q[b], alone.q) and np.array_equal(end_p[b], alone.p)

@@ -28,7 +28,7 @@ from geoshoot import (
     rhs,
     velocity_field,
 )
-from geoshoot import kernels
+from geoshoot import kernels, particles
 
 
 def _symbolic_two_particle_rhs():
@@ -456,3 +456,72 @@ def test_evolve_conserves_h_p_l(spec, state):
 @given(spec=_systems(), state=_distinct_states())
 def test_gram_cholesky_succeeds_on_distinct_points(spec, state):
     np.linalg.cholesky(gram_matrix(spec.kernel, state[0]))
+
+
+# The stacked core: _rhs advances a (B, N, 2) stack of systems that share
+# a kernel family but not its width.  Each member must come out exactly
+# as it does alone, under every block budget: the default one, one
+# member per chunk, two members per chunk, and two rows per block.
+_BUDGETS = (None, lambda n: n * n, lambda n: 2 * n * n, lambda n: 2 * n)
+
+
+def _budget(budget, n):
+    entries = kernels._BLOCK_ENTRIES if budget is None else budget(n)
+    return mock.patch.object(kernels, "_BLOCK_ENTRIES", entries)
+
+
+def _stacked_rhs(specs, sigma2, q, p):
+    system = SystemSpec(kernel=specs[0], sigma2=sigma2)
+    return particles._rhs(system, q, p, kernels._constants(specs))
+
+
+@st.composite
+def _stacks(draw):
+    """1 to 5 systems of 3 to 8 particles, one family, an alpha per member;
+    member 0 has a coincident pair whose momentum product is zero."""
+    family = draw(st.sampled_from(list(KernelFamily)))
+    nu = draw(st.sampled_from([1.5, 2.5, 3.2]))
+    normalized = draw(st.booleans())
+    b, n = draw(st.integers(1, 5)), draw(st.integers(3, 8))
+    alphas = draw(st.lists(st.floats(0.5, 2.0), min_size=b, max_size=b))
+    specs = [KernelSpec(family=family, nu=nu, alpha=a, normalized=normalized) for a in alphas]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.uniform(-2.0, 2.0, size=(b, n, 2))
+    p = rng.uniform(-2.0, 2.0, size=(b, n, 2))
+    q[0, 1] = q[0, 0]
+    p[0, 0, 1] = p[0, 1, 0] = 0.0  # (x, 0) . (0, y) is exactly 0
+    return specs, draw(st.sampled_from([0.0, 0.3])), q, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=_stacks(), budget=st.sampled_from(_BUDGETS))
+def test_stacked_rhs_equals_each_member_alone(stack, budget):
+    specs, sigma2, q, p = stack
+    with _budget(budget, q.shape[1]):
+        dq, dp, clashes = _stacked_rhs(specs, sigma2, q, p)
+        assert clashes == {}
+        for b, spec in enumerate(specs):
+            alone = rhs(SystemSpec(kernel=spec, sigma2=sigma2), ParticleState(q[b], p[b]))
+            assert np.array_equal(dq[b], alone[0]) and np.array_equal(dp[b], alone[1])
+
+
+@pytest.mark.parametrize(
+    "budget", _BUDGETS, ids=["default", "member-chunks", "pair-chunks", "row-blocks"]
+)
+def test_stacked_rhs_reports_a_clashing_member_alone(budget):
+    rng = np.random.default_rng(5)
+    q = rng.uniform(-2.0, 2.0, size=(3, 5, 2))
+    p = rng.uniform(-2.0, 2.0, size=(3, 5, 2))
+    q[1, 3], p[1, 3] = q[1, 1], p[1, 1]
+    specs = [KernelSpec(alpha=a) for a in (0.6, 1.0, 1.7)]
+    with _budget(budget, 5):
+        dq, dp, clashes = _stacked_rhs(specs, 0.0, q, p)
+        assert list(clashes) == [1]
+        assert isinstance(clashes[1], DegenerateConfigurationError)
+        assert str(clashes[1]) == (
+            "particles 1 and 3 coincide with interacting momenta; "
+            "the momentum equation is singular there"
+        )
+        for b in (0, 2):
+            alone = rhs(SystemSpec(kernel=specs[b]), ParticleState(q[b], p[b]))
+            assert np.array_equal(dq[b], alone[0]) and np.array_equal(dp[b], alone[1])
