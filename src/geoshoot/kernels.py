@@ -251,32 +251,43 @@ def pairwise_distances(points, others=None) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def pairwise_blocks(x: np.ndarray, q: np.ndarray):
-    """The package's one pairwise pass: distances from points ``x`` to points
-    ``q`` in row blocks, as (s, dist) with dist[i, j] = |x[s + i] - q[j]|.
+def pairwise_blocks(x: np.ndarray, q: np.ndarray | None = None):
+    """The package's one pairwise pass, in row blocks of :func:`_block_rows`.
 
-    A (B, M, 2) and (B, N, 2) batch gives (B, rows, N) blocks, with the
+    Against other points ``q`` it yields (s, dist) with
+    dist[i, j] = |x[s + i] - q[j]|: rows s:e against every column.  A
+    point set against itself (``q`` omitted) is symmetric, so it yields
+    only upper row blocks, rows s:e against columns s:N, with
+    dist[i, j] = |x[s + i] - x[s + j]|; row i's own point sits at local
+    column i, and the block's columns e - s and up are the strictly
+    upper part that the caller mirrors into rows e:N.
+
+    A (B, M, 2) and (B, N, 2) batch gives (B, rows, ...) blocks, with the
     same rows per block as one member alone.
     """
-    rows = _block_rows(q.shape[-2])
+    upper = q is None
+    rows = _block_rows(x.shape[-2] if upper else q.shape[-2])
     for s in range(0, x.shape[-2], rows):
-        yield s, pairwise_distances(x[..., s : s + rows, :], q)
+        block = x[..., s : s + rows, :]
+        yield s, pairwise_distances(block, x[..., s:, :] if upper else q)
 
 
 def coincident_pair(dist: np.ndarray, start: int = 0):
-    """First coincident pair (i, j), i != j, in a row block of distances.
+    """First coincident pair (i, j), i < j, in an upper row block of
+    distances.
 
-    ``dist`` holds the distances from points start, start + 1, ... to
-    all N points of a finite set.  Each row's own point is its one
-    expected zero, at (i, start + i); any other zero is a coincident
+    ``dist`` is a block of :func:`pairwise_blocks` over a finite point
+    set against itself: the distances from points start, start + 1, ...
+    to points start, ..., N - 1.  Each row's own point is its one
+    expected zero, at local column i; any other zero is a coincident
     pair, returned in global indices.  None when there is none.
     """
     if np.count_nonzero(dist) >= dist.size - len(dist):
         return None
     zero = dist == 0.0
-    zero.reshape(-1)[start :: dist.shape[1] + 1] = False
+    zero.reshape(-1)[:: dist.shape[1] + 1] = False
     i, j = np.argwhere(zero)[0]
-    return start + i, j
+    return start + i, start + j
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
@@ -287,12 +298,16 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     """
     pts = as_points(points)
     kmat = np.empty((len(pts), len(pts)))
-    for s, dist in pairwise_blocks(pts, pts):
+    for s, dist in pairwise_blocks(pts):
         pair = coincident_pair(dist, s)
         if pair is not None:
             raise DegenerateConfigurationError(
                 f"points {pair[0]} and {pair[1]} coincide; "
                 "Gram matrix would be singular"
             )
-        kmat[s : s + len(dist)] = kernel_value(spec, dist)
+        # d_ij == d_ji exactly, so the mirrored entries are the same bits.
+        e = s + len(dist)
+        values = kernel_value(spec, dist)
+        kmat[s:e, s:] = values
+        kmat[e:, s:e] = values[:, e - s :].T
     return kmat

@@ -22,8 +22,11 @@ works on a (B, N, 2) stack of systems that may differ in kernel width,
 so that many independent shoots advance in lockstep; each member's
 arithmetic is the same as alone.  Every kernel sum here is a loop over
 the row blocks of :func:`geoshoot.kernels.pairwise_blocks`, so no full
-(N, N) matrix is held: each block's distances are computed once and its
-rows of the sum added.
+(N, N) matrix is held.  ``_rhs`` takes the particles against themselves
+in upper blocks, rows s:e against columns s:N: K and A are symmetric,
+so each block's strictly upper part, transposed, also gives rows e:N
+their terms from rows s:e, and every pair's distance and kernel terms
+are computed once.
 """
 
 from __future__ import annotations
@@ -101,10 +104,14 @@ def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray, k: tuple):
     their A entry is zero; ``clashes`` maps each member that has an
     interacting coincident pair to the error that pair raises, and that
     member's (dq, dp) is then meaningless.  The members are taken in
-    chunks of :func:`~geoshoot.kernels._block_members`, and rows s:e of
-    each chunk's K and A are built one block of :func:`pairwise_blocks`
-    at a time, so every member's diagonal is the flat strided slice
-    [s::N+1] of its block.
+    chunks of :func:`~geoshoot.kernels._block_members`, and each chunk's
+    K and A are built one upper block of :func:`pairwise_blocks` at a
+    time: rows s:e against columns s:N, whose diagonal is every member's
+    flat strided slice [::N-s+1].  The block gives rows s:e their terms
+    from columns s:N, and its columns e:N, transposed, give rows e:N
+    their terms from columns s:e.  The first block writes its rows in
+    place and later ones add to them, so a one-block system (N <= 181)
+    rounds exactly as a plain N x N build.
     """
     n = q.shape[1]
     dq = np.empty_like(p)
@@ -112,35 +119,58 @@ def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray, k: tuple):
     clashes = {}
     chunk = _block_members(n)
     for c in range(0, len(q), chunk):
-        qc, pc = q[c : c + chunk], p[c : c + chunk]
-        kc = k if chunk >= len(q) else _members(k, slice(c, c + chunk))
-        pt = pc.transpose(0, 2, 1)
-        for s, dist in pairwise_blocks(qc, qc):
+        if chunk >= len(q):
+            qc, pc, dqc, dpc, kc = q, p, dq, dp, k
+        else:
+            members = slice(c, c + chunk)
+            qc, pc, dqc, dpc = q[members], p[members], dq[members], dp[members]
+            kc = _members(k, members)
+        for s, dist in pairwise_blocks(qc):
             e = s + dist.shape[1]
+            # Columns s:N; the first block spans them all.
+            qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
             kmat, a = _kernel_terms(spec.kernel, dist, kc)
-            pdot = pc[:, s:e] @ pt
-            # dist is exactly 0 on the diagonal; any other 0 is a coincident pair.
-            dist.reshape(len(dist), -1)[:, s :: n + 1] = 1.0
+            pdot = pc[:, s:e] @ ps.transpose(0, 2, 1)
+            # dist is exactly 0 on the block's diagonal; any other 0 is a
+            # coincident pair.
+            dist.reshape(len(dist), -1)[:, :: n - s + 1] = 1.0
             coincident = None
             if np.count_nonzero(dist) < dist.size:
                 coincident = dist == 0.0
                 for b, i, j in np.argwhere(coincident & (pdot != 0.0)):
                     clashes.setdefault(int(c + b), DegenerateConfigurationError(
-                        f"particles {s + i} and {j} coincide with interacting "
+                        f"particles {s + i} and {s + j} coincide with interacting "
                         "momenta; the momentum equation is singular there"
                     ))
                 dist[coincident] = 1.0
             a *= pdot
             a /= dist
-            a.reshape(len(a), -1)[:, s :: n + 1] = 0.0
+            a.reshape(len(a), -1)[:, :: n - s + 1] = 0.0
             if coincident is not None:
                 a[coincident] = 0.0
-            # Written into dq and dp in place: at small N each temporary and
-            # copy is a measurable share of the call.  A @ q - (A 1) q_i is
-            # the negated (A 1) q_i - A @ q, bit for bit.
-            np.matmul(kmat, pc, out=dq[c : c + chunk, s:e])
+            # Rows s:e.  The first block writes in place rather than adding
+            # onto zeros, which would round -0 to +0, and at small N each
+            # temporary and copy is a measurable share of the call.
+            # A @ q - (A 1) q_i is the negated (A 1) q_i - A @ q, bit for bit.
             row_sums = np.add.reduce(a, axis=2, keepdims=True)
-            np.subtract(a @ qc, row_sums * qc[:, s:e], out=dp[c : c + chunk, s:e])
+            if s == 0:
+                np.matmul(kmat, ps, out=dqc[:, s:e])
+                np.subtract(a @ qs, row_sums * qc[:, s:e], out=dpc[:, s:e])
+            else:
+                dqc[:, s:e] += kmat @ ps
+                dpc[:, s:e] += a @ qs - row_sums * qc[:, s:e]
+            if e == n:
+                continue
+            # Rows e:N, from the block's strictly upper part transposed.
+            kt = kmat[:, :, e - s :].transpose(0, 2, 1)
+            at = a[:, :, e - s :].transpose(0, 2, 1)
+            col_sums = np.add.reduce(at, axis=2, keepdims=True)
+            if s == 0:
+                np.matmul(kt, pc[:, s:e], out=dqc[:, e:])
+                np.subtract(at @ qc[:, s:e], col_sums * qc[:, e:], out=dpc[:, e:])
+            else:
+                dqc[:, e:] += kt @ pc[:, s:e]
+                dpc[:, e:] += at @ qc[:, s:e] - col_sums * qc[:, e:]
     if spec.sigma2 != 0.0:
         dq += spec.sigma2 * p
     return dq, dp, clashes

@@ -50,7 +50,7 @@ class LandmarkTemplate:
 
     def __post_init__(self):
         pts = as_points(self.points)
-        for s, dist in pairwise_blocks(pts, pts):
+        for s, dist in pairwise_blocks(pts):
             pair = coincident_pair(dist, s)
             if pair is not None:
                 raise DegenerateConfigurationError(

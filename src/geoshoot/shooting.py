@@ -99,9 +99,10 @@ class MatchResult:
     ``residual_history`` holds one stopping-norm value per applied
     update, so its length equals ``iterations``: for an exact system the
     endpoint residual |r| after the update, for an inexact one
-    (sigma2 > 0) the move h * |r| measured before it.  An exact run whose
-    initial residual is already below tolerance reports zero iterations
-    and an empty history.  ``diagnosis`` is set only on failed runs.
+    (sigma2 > 0) the move h * |r| measured before it.  A run whose
+    stopping norm at p = 0, |r0| or h * |r0|, is already below tolerance
+    reports zero iterations and an empty history after one shoot.
+    ``diagnosis`` is set only on failed runs.
     """
 
     p0: np.ndarray
@@ -333,11 +334,13 @@ def _drive(
     for cell in cells:
         if results[cell.index] is not None:
             continue
-        if residual_rule:
-            cell.initial = _norm(cell.cfg.norm, cell.residual)
-            if cell.initial < cell.cfg.epsilon:
-                finish(cell, True)
-                continue
+        cfg = cell.cfg
+        cell.initial = _norm(cfg.norm, cell.residual)
+        if not residual_rule:
+            cell.initial *= cfg.h
+        if cell.initial < cfg.epsilon:
+            finish(cell, True)
+            continue
         live.append(cell)
 
     while live:
@@ -363,8 +366,6 @@ def _drive(
                 continue
             if residual_rule:
                 cell.value = _norm(cfg.norm, cell.residual)
-            elif cell.initial is None:
-                cell.initial = cell.value
             value = cell.value
             cell.history.append(value)
 

@@ -204,6 +204,22 @@ def test_gram_rejects_coincident_points():
             gram_matrix(KernelSpec(), pts)
 
 
+def test_gram_mirrors_upper_blocks_bit_for_bit():
+    """At N = 300 the Gram build splits into upper row blocks and mirrors
+    each block's strictly upper part; d_ij == d_ji exactly, so the matrix
+    is exactly symmetric and equal to the one-block build."""
+    n = 300
+    assert kernels._block_rows(n) < n
+    pts = heart4(n).points
+    for family in KernelFamily:
+        spec = KernelSpec(family=family, nu=2.5)
+        split = gram_matrix(spec, pts)
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", n * n):
+            whole = gram_matrix(spec, pts)
+        np.testing.assert_array_equal(split, split.T)
+        np.testing.assert_array_equal(split, whole)
+
+
 def test_gram_is_identical_under_every_block_budget():
     """The Gram matrix is elementwise, so no row split may change a bit."""
     pts = heart4(12).points

@@ -365,20 +365,72 @@ def test_rhs_momentum_rows_sum_to_zero(spec, state, rows):
     assert _within_rounding(dp.sum(axis=0), 0.0, dp_scale.sum())
 
 
+def _dp_term_scale(spec, q, p):
+    """sum_ij |p_i| |p_j| |G'(d_ij)| / d_ij (|q_i| + |q_j|) over i != j, in
+    1-norms: the summed magnitude of the terms of sum_i dp_i."""
+    d = kernels.pairwise_distances(q)
+    np.fill_diagonal(d, 1.0)
+    weight = np.abs(kernels.kernel_derivative(spec.kernel, d)) / d
+    np.fill_diagonal(weight, 0.0)
+    pn, qn = np.abs(p).sum(axis=1), np.abs(q).sum(axis=1)
+    return float(pn @ weight @ (pn * qn) + (pn * qn) @ weight @ pn)
+
+
 def test_rhs_default_blocks_agree_with_one_block():
-    """At N = 300 the default budget splits the rows into blocks; the
-    short-block products may round differently, never by more than 1e-12."""
-    n = 300
+    """Where the default budget splits the rows (N >= 182), each upper
+    block's strictly upper part reaches its mirrored rows as a transposed
+    product, which may round differently, never by more than 1e-12; and
+    the momentum rows still sum to zero within rounding."""
+    for n in (182, 300, 1024):
+        assert kernels._block_rows(n) < n
+        rng = np.random.default_rng(n)
+        q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(n, 2))
+        p = rng.normal(size=(n, 2))
+        for family in KernelFamily:
+            for sigma2 in (0.0, 0.3):
+                spec = SystemSpec(kernel=KernelSpec(family=family, nu=2.5), sigma2=sigma2)
+                split = _rhs_in_blocks(spec, q, p, rows=None)
+                whole = _rhs_in_blocks(spec, q, p, rows=n)
+                for got, want in zip(split, whole):
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                total = np.abs(split[1].sum(axis=0)).max()
+                assert total <= 1e-12 * _dp_term_scale(spec, q, p)
+
+
+def test_stacked_rhs_equals_each_member_alone_across_upper_blocks():
+    """At N = 200 the rows split into upper blocks of 163 and 37; a stack
+    of three widths is still bit-equal to three lone calls."""
+    n = 200
     assert kernels._block_rows(n) < n
-    rng = np.random.default_rng(300)
-    q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(n, 2))
-    p = rng.normal(size=(n, 2))
+    rng = np.random.default_rng(200)
+    q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(3, n, 2))
+    p = rng.normal(size=(3, n, 2))
     for family in KernelFamily:
-        spec = SystemSpec(kernel=KernelSpec(family=family, nu=2.5), sigma2=0.3)
-        split = _rhs_in_blocks(spec, q, p, rows=None)
-        whole = _rhs_in_blocks(spec, q, p, rows=n)
-        for got, want in zip(split, whole):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        specs = [KernelSpec(family=family, nu=2.5, alpha=a) for a in (0.6, 1.0, 1.7)]
+        for sigma2 in (0.0, 0.3):
+            dq, dp, clashes = _stacked_rhs(specs, sigma2, q, p)
+            assert clashes == {}
+            for b, spec in enumerate(specs):
+                alone = rhs(SystemSpec(kernel=spec, sigma2=sigma2), ParticleState(q[b], p[b]))
+                assert np.array_equal(dq[b], alone[0]) and np.array_equal(dp[b], alone[1])
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_coincident_pair_across_upper_blocks_keeps_global_indices(rows):
+    """Points 2 and 5 coincide, and so do 4 and 6; in blocks of one or two
+    rows each pair spans two upper blocks.  Every scan names the first
+    pair by its global indices, lower index first."""
+    q = circle(1.0, n=7).points.copy()
+    q[5], q[6] = q[2], q[4]
+    p = np.ones((7, 2))
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", rows * 7):
+        assert kernels._block_rows(7) == rows
+        with pytest.raises(DegenerateConfigurationError, match="particles 2 and 5 coincide"):
+            rhs(SystemSpec(), ParticleState(q, p))
+        with pytest.raises(DegenerateConfigurationError, match="points 2 and 5 coincide"):
+            gram_matrix(KernelSpec(), q)
+        with pytest.raises(DegenerateConfigurationError, match="landmarks 2 and 5 coincide"):
+            LandmarkTemplate(q)
 
 
 def test_kernel_sums_agree_under_every_block_budget():

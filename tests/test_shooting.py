@@ -26,6 +26,7 @@ from geoshoot import (
     momenta_from_velocity,
     newton_match,
 )
+from geoshoot import shooting
 from geoshoot.shooting import _GramSolver
 
 # Small pair used throughout: a circle pulled onto a slightly shifted,
@@ -48,6 +49,26 @@ def test_self_match_is_a_fixed_point(solve):
     assert result.iterations == 0
     assert result.residual_history == ()
     assert result.hamiltonian == 0.0
+    np.testing.assert_array_equal(result.p0, np.zeros((8, 2)))
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.3])
+def test_self_match_stops_after_the_initial_shoot(sigma2, monkeypatch):
+    # Both stopping norms, |r0| and the first move h * |r0|, are tested
+    # right after the shoot from p = 0, so a self-match takes one shoot.
+    shoots = [0]
+    evolve_stack = shooting._evolve_stack
+
+    def counted_evolve(spec, k, q, *args):
+        shoots[0] += len(q)  # one shoot per member of the stack
+        return evolve_stack(spec, k, q, *args)
+
+    monkeypatch.setattr(shooting, "_evolve_stack", counted_evolve)
+    result = match(REF, REF, quick_cfg(system=SystemSpec(sigma2=sigma2)))
+    assert result.converged
+    assert result.iterations == 0
+    assert result.residual_history == ()
+    assert shoots[0] == 1
     np.testing.assert_array_equal(result.p0, np.zeros((8, 2)))
 
 
