@@ -286,7 +286,7 @@ def convergence_sweep(
     ]
     counts = [
         res.iterations if isinstance(res, MatchResult) and res.converged else DIVERGED
-        for res in _drive(reference, target, cfgs, velocity=True, newton=False)
+        for res in _drive(reference, target, cfgs, newton=False)
     ]
     return np.array(counts, dtype=int).reshape(len(grid.alpha2_values), -1)
 

@@ -28,7 +28,7 @@ from .errors import (
     require_count,
     require_positive,
 )
-from .kernels import _constants, _members
+from .kernels import _constants
 from .particles import ParticleState, SystemSpec, _rhs
 
 __all__ = ["EvolveConfig", "EvolveResult", "evolve"]
@@ -75,11 +75,12 @@ def _evolve_stack(
     (q, p, failures, frames).  ``failures`` maps each member that
     degenerated (coincident interacting particles) or stopped being
     finite to the DegenerateConfigurationError or DivergenceError that
-    ends it, with the step and time appended; a failed member leaves
-    the stack at the end of that step, its rows of the returned q and p
-    are meaningless, and no other member is affected.  ``frames`` holds
-    (t, q, p) of the live stack every ``capture_every`` steps and at
-    the end, with the initial state first, when capturing is on.
+    ends it, with the step and time of its first failure appended; a
+    failed member runs on in the stack to the end, its rows of the
+    returned q and p are meaningless, and no other member is affected.
+    ``frames`` holds (t, q, p) of the stack every ``capture_every``
+    steps and at the end, with the initial state first, when capturing
+    is on.
     """
     dt = config.t_final / config.steps
     # Frame times come from the fraction (step / steps) * t_final so the
@@ -88,8 +89,6 @@ def _evolve_stack(
     # C order, whatever the caller's layout (a Cholesky solve returns
     # Fortran order): the BLAS products round differently per layout.
     q, p = np.ascontiguousarray(q), np.ascontiguousarray(p)
-    out_q, out_p = np.empty_like(q), np.empty_like(p)
-    live = np.arange(len(q))
     failures = {}
 
     frames = []
@@ -102,8 +101,9 @@ def _evolve_stack(
     # non-finite stage needs no check of its own: it makes some k
     # non-finite, and every k enters the step update with a nonzero
     # weight, so the check after the update fails at the same step.  A
-    # member that degenerates at one stage runs on, meaninglessly, to
-    # the end of the step, and its first clash is the one reported.
+    # failed member runs on, meaninglessly, to the end of the shoot, and
+    # its first failure is the one reported: a clash before a non-finite
+    # state in the same step.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
             t = t_at(step)
@@ -113,33 +113,25 @@ def _evolve_stack(
             k4q, k4p, c4 = _rhs(spec, q + dt * k3q, p + dt * k3p, k)
             q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
             p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            failed = {
-                b: DegenerateConfigurationError(
+            for b, exc in {**c4, **c3, **c2, **c1}.items():
+                failures.setdefault(b, DegenerateConfigurationError(
                     f"{exc} (during step {step + 1}, t in [{t:.6g}, {t + dt:.6g}])"
-                )
-                for b, exc in {**c4, **c3, **c2, **c1}.items()
-            }
+                ))
             if not (np.isfinite(q).all() and np.isfinite(p).all()):
                 finite = np.isfinite(q).all(axis=(1, 2))
                 finite &= np.isfinite(p).all(axis=(1, 2))
                 for b in np.flatnonzero(~finite):
-                    failed.setdefault(int(b), DivergenceError(
+                    failures.setdefault(int(b), DivergenceError(
                         f"non-finite state at step {step + 1} "
                         f"(t = {t_at(step + 1):.6g}); "
                         "the step size is too large for this configuration"
                     ))
-            if failed:
-                keep = np.ones(len(q), dtype=bool)
-                keep[list(failed)] = False
-                failures.update((int(live[b]), exc) for b, exc in failed.items())
-                q, p, k, live = q[keep], p[keep], _members(k, keep), live[keep]
             if config.capture_every > 0 and (
                 (step + 1) % config.capture_every == 0 or step + 1 == config.steps
             ):
                 frames.append((t_at(step + 1), q.copy(), p.copy()))
 
-    out_q[live], out_p[live] = q, p
-    return out_q, out_p, failures, frames
+    return q, p, failures, frames
 
 
 def evolve(

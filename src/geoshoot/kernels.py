@@ -77,6 +77,20 @@ class KernelSpec:
                     f"nu={self.nu} in (1, 1.5): kernel has a cusp at r=0 and is used unmollified",
                     stacklevel=2,
                 )
+        # Extreme widths and orders overflow or vanish in the constants
+        # every evaluation divides by or scales with.
+        try:
+            with np.errstate(all="ignore"):
+                _, _, peak, c, _ = _member_constants(self)
+        except (ZeroDivisionError, OverflowError):
+            peak = c = math.nan
+        if not (0 < peak < math.inf) or (
+            self.family is KernelFamily.BESSEL and not 0 < c < math.inf
+        ):
+            raise ConfigurationError(
+                f"kernel constants G(0) = {peak} and c = {c} are not finite and "
+                f"nonzero at alpha={self.alpha}, nu={self.nu}"
+            )
 
     def peak(self) -> float:
         """Unnormalized kernel value at r = 0."""
@@ -117,8 +131,8 @@ def _constants(specs) -> tuple:
 
 
 def _members(k: tuple, index) -> tuple:
-    """The constants of the members ``index`` (a slice or a boolean mask)
-    of a :func:`_constants` stack."""
+    """The constants of the members ``index`` (a slice) of a
+    :func:`_constants` stack."""
     return tuple(v if np.ndim(v) == 0 else v[index] for v in k)
 
 

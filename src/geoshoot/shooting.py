@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -99,9 +99,11 @@ class MatchResult:
     ``residual_history`` holds one stopping-norm value per applied
     update, so its length equals ``iterations``: for an exact system the
     endpoint residual |r| after the update, for an inexact one
-    (sigma2 > 0) the move h * |r| measured before it.  A run whose
-    stopping norm at p = 0, |r0| or h * |r0|, is already below tolerance
-    reports zero iterations and an empty history after one shoot.
+    (sigma2 > 0) the move h * |r| measured before it.  The run starts
+    at p = 0, whose geodesic ends at the reference itself, so a run
+    whose stopping norm there, |r0| or h * |r0|, is already below
+    tolerance reports zero iterations and an empty history without a
+    shoot.
     ``diagnosis`` is set only on failed runs.
     """
 
@@ -219,17 +221,23 @@ def _newton_direction(
 
 
 class _Cell:
-    """One match of the lockstep driver: its config, Gram factor, iterate
-    and stopping state, starting from x = p = 0."""
+    """One match of the lockstep driver: its config, Gram factor (None in
+    momentum space), iterate and stopping state.
 
-    def __init__(self, index: int, cfg: ShootingConfig, solver, q0: np.ndarray):
+    It starts at x = p = 0, whose geodesic does not move (dq = K 0 = 0),
+    so its endpoint is q0 without a shoot.
+    """
+
+    def __init__(self, index: int, cfg: ShootingConfig, solver, q0, goal):
         self.index = index
         self.cfg = cfg
         self.solver = solver
         self.q0 = q0
         self.x = np.zeros(q0.shape)
         self.p = np.zeros(q0.shape)
-        self.endpoint = self.residual = self.initial = self.value = None
+        self.endpoint = q0
+        self.residual = goal - q0
+        self.initial = self.value = None
         self.history = []
 
     def momenta(self, x: np.ndarray) -> np.ndarray:
@@ -246,34 +254,32 @@ class _Cell:
 
 
 def _drive(
-    reference: LandmarkTemplate,
-    target: LandmarkTemplate,
-    cfgs: list,
-    velocity: bool,
-    newton: bool,
+    reference: LandmarkTemplate, target: LandmarkTemplate, cfgs: list, newton: bool
 ) -> list:
     """The shooting iteration behind :func:`match`, :func:`newton_match`
     and the analysis sweeps: one match per config in ``cfgs``, in lockstep.
 
-    Every cell's iterate x is the initial velocity u (``velocity``: its
-    Gram solve maps it to momenta) or the momenta p themselves.  It
-    starts at 0 and moves by the cell's h times a direction: the
-    endpoint residual r, or the Newton step J^-1 r (``newton``, whose
-    finite-difference probes are shot one at a time).  The stopping
-    norm is |r| for an exact system and h * |r| for an inexact one
-    (sigma2 > 0); the latter is the iterate's move only under the
-    feedback update, so Newton takes only exact systems.
+    Every cell's iterate x is the initial velocity u (velocity update
+    space: its Gram solve maps it to momenta) or the momenta p
+    themselves.  It starts at 0, whose endpoint is q0 without a shoot,
+    and moves by the cell's h times a direction: the endpoint residual
+    r, or the Newton step J^-1 r (``newton``, whose finite-difference
+    probes are shot one at a time).  The stopping norm is |r| for an
+    exact system and h * |r| for an inexact one (sigma2 > 0); the latter
+    is the iterate's move only under the feedback update, so Newton
+    takes only exact systems.
 
-    Each round shoots every live cell at once through one
-    :func:`~geoshoot.integrator._evolve_stack` call.  The configs share
-    the evolution grid and the system but for the kernel's alpha, so
-    each cell has its own h, kernel, Gram factor (one per kernel) and
-    stopping state, and a cell's arithmetic is the same as alone.  A
-    cell leaves the stack once it converges, hits its ``max_iter``, blows
-    up, goes non-finite or degenerates; the others are not affected.
-    Returns, per config, its MatchResult, or the DivergenceError or
-    DegenerateConfigurationError that ended it outside its shoots (e.g.
-    a Gram matrix that is not positive definite).
+    Each round updates every live cell and shoots them all at once
+    through one :func:`~geoshoot.integrator._evolve_stack` call.  The
+    configs share the evolution grid and the system but for the
+    kernel's alpha, so each cell has its own h, kernel, Gram factor (one
+    per kernel) and stopping state, and a cell's arithmetic is the same
+    as alone.  A cell leaves the stack once it converges, hits its
+    ``max_iter``, blows up, goes non-finite or degenerates; the others
+    are not affected.  Returns, per config, its MatchResult, or the
+    DivergenceError or DegenerateConfigurationError that ended it
+    outside its shoots (e.g. a Gram matrix that is not positive
+    definite).
     """
     if reference.n != target.n:
         raise ConfigurationError(
@@ -285,17 +291,6 @@ def _drive(
     q0, goal = reference.points, target.points
     residual_rule = cfgs[0].system.sigma2 == 0
     results = [None] * len(cfgs)
-    solvers = {}
-    cells = []
-    for i, cfg in enumerate(cfgs):
-        kernel = cfg.system.kernel
-        try:
-            if velocity and kernel not in solvers:
-                solvers[kernel] = _GramSolver(kernel, q0)
-        except DegenerateConfigurationError as exc:
-            results[i] = exc
-            continue
-        cells.append(_Cell(i, cfg, solvers[kernel] if velocity else None, q0))
 
     def finish(cell: _Cell, converged: bool, diagnosis: str | None = None) -> None:
         cfg = cell.cfg
@@ -309,39 +304,32 @@ def _drive(
                 final_template=LandmarkTemplate(
                     cell.endpoint, f"{reference.label}>{target.label}"
                 ),
-                final_residual=_norm(cfg.norm, goal - cell.endpoint),
+                final_residual=_norm(cfg.norm, cell.residual),
                 diagnosis=diagnosis,
-                warnings=cell.solver.warnings() if velocity else (),
+                warnings=() if cell.solver is None else cell.solver.warnings(),
             )
         except DegenerateConfigurationError as exc:
             results[cell.index] = exc
 
-    def shoot(live: list) -> dict:
-        """Shoot every live cell from its momenta; the failed ones, by cell,
-        keep their last endpoint."""
-        ends, failures = _shoot(
-            cfgs[0], q0, [c.p for c in live], [c.cfg.system.kernel for c in live]
-        )
-        for b, cell in enumerate(live):
-            if b not in failures:
-                cell.endpoint = ends[b]
-                cell.residual = goal - cell.endpoint
-        return {live[b]: exc for b, exc in failures.items()}
-
-    for cell, exc in shoot(cells).items():
-        results[cell.index] = exc
+    solvers = {}
     live = []
-    for cell in cells:
-        if results[cell.index] is not None:
+    for i, cfg in enumerate(cfgs):
+        kernel = cfg.system.kernel
+        velocity = cfg.update_space is UpdateSpace.VELOCITY
+        try:
+            if velocity and kernel not in solvers:
+                solvers[kernel] = _GramSolver(kernel, q0)
+        except DegenerateConfigurationError as exc:
+            results[i] = exc
             continue
-        cfg = cell.cfg
+        cell = _Cell(i, cfg, solvers[kernel] if velocity else None, q0, goal)
         cell.initial = _norm(cfg.norm, cell.residual)
         if not residual_rule:
             cell.initial *= cfg.h
         if cell.initial < cfg.epsilon:
             finish(cell, True)
-            continue
-        live.append(cell)
+        else:
+            live.append(cell)
 
     while live:
         for cell in live:
@@ -356,14 +344,18 @@ def _drive(
             else:
                 cell.x = cell.x + cfg.h * cell.residual
             cell.p = cell.momenta(cell.x)
-        failed = shoot(live)
+        ends, failures = _shoot(
+            cfgs[0], q0, [c.p for c in live], [c.cfg.system.kernel for c in live]
+        )
         still = []
-        for cell in live:
+        for b, cell in enumerate(live):
             cfg = cell.cfg
-            if cell in failed:
-                # cell.endpoint still holds the last finite shoot.
-                finish(cell, False, f"step too large ({failed[cell]})")
+            if b in failures:
+                # cell.endpoint still holds the last finite endpoint.
+                finish(cell, False, f"step too large ({failures[b]})")
                 continue
+            cell.endpoint = ends[b]
+            cell.residual = goal - cell.endpoint
             if residual_rule:
                 cell.value = _norm(cfg.norm, cell.residual)
             value = cell.value
@@ -406,8 +398,7 @@ def match(
     "step too large" rather than an exception; hitting max_iter just
     reports converged = False.
     """
-    velocity = cfg.update_space is UpdateSpace.VELOCITY
-    return _single(_drive(reference, target, [cfg], velocity, newton=False))
+    return _single(_drive(reference, target, [cfg], newton=False))
 
 
 def contraction_diagnostics(result: MatchResult) -> list:
@@ -440,5 +431,7 @@ def newton_match(
     therefore costs 2N + 1 evolutions; the point of the comparison is
     that the feedback loop avoids all of them.  Only exact systems
     (sigma2 = 0) are supported: Newton stops on the endpoint residual.
+    The iterate is the initial velocity, whatever ``cfg.update_space``.
     """
-    return _single(_drive(reference, target, [cfg], velocity=True, newton=True))
+    velocity = replace(cfg, update_space=UpdateSpace.VELOCITY)
+    return _single(_drive(reference, target, [velocity], newton=True))

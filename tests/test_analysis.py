@@ -158,6 +158,14 @@ def test_sweep_counts_and_divergence_cells():
     assert np.all(mat[:, 2] == DIVERGED)
 
 
+def test_sweep_cells_without_a_gram_factor_diverge():
+    # Wide gaussian kernels over 32 landmarks have numerically singular
+    # Gram matrices; their cells are data, not an error.
+    grid = SweepGrid((400.0,), (0.4, 0.8), n_landmarks=32, kernel_family="gaussian")
+    mat = convergence_sweep(circle(2.0, n=32), heart4(32), grid)
+    assert mat.tolist() == [[DIVERGED, DIVERGED]]
+
+
 def test_sweep_rejects_unequal_landmark_counts():
     # A bad pair is a configuration error, not a grid of diverged cells.
     grid = SweepGrid(alpha2_values=(1.0,), h_values=(0.5,), n_landmarks=16)
@@ -268,7 +276,7 @@ def _grid_cfgs(alpha2_values, h_values, **kw):
     ids=["mixed", "n64"],
 )
 def test_lockstep_cells_equal_lone_matches(ref, tgt, cfgs):
-    results = shooting._drive(ref, tgt, cfgs, velocity=True, newton=False)
+    results = shooting._drive(ref, tgt, cfgs, newton=False)
     outcomes = set()
     assert len(results) == len(cfgs)
     for cfg, res in zip(cfgs, results):

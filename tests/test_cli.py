@@ -131,6 +131,9 @@ def test_nonfinite_shape_parameters_exit_2(tmp_path, capsys, argv):
         ["--sigma2", "nan"],
         ["--sigma2", "inf"],
         ["--capture-every", "-1"],
+        ["--alpha", "1e-300"],
+        ["--alpha", "1e200"],
+        ["--kernel", "bessel", "--nu", "1e308"],
     ],
 )
 def test_bad_match_options_exit_2(tmp_path, pair, capsys, flags):
@@ -139,6 +142,23 @@ def test_bad_match_options_exit_2(tmp_path, pair, capsys, flags):
     code = main(["match", str(ref), str(tgt), *QUICK, *flags, "--out", str(out)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+def test_singular_gram_exits_1(tmp_path, capsys):
+    # A wide gaussian kernel over 32 landmarks has no Gram factor: a
+    # numeric failure, reported on one line.
+    ref, tgt = tmp_path / "c32.json", tmp_path / "h32.json"
+    save_template(circle(2.0, n=32), ref)
+    save_template(heart4(32), tgt)
+    out = tmp_path / "x"
+    code = main(
+        ["match", str(ref), str(tgt), "--kernel", "gaussian", "--alpha", "5", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel Gram matrix is not positive definite")
+    assert len(err.splitlines()) == 1
     assert not (out / "result.json").exists()
 
 

@@ -94,7 +94,7 @@ def test_gaussian_value():
 
 def _fd_derivative(spec, r):
     # Richardson-extrapolated central difference, O(step^4).
-    step = 1e-5 * max(1.0, r)
+    step = 1e-4 * max(1.0, r)
 
     def central(h):
         return (kernel_value(spec, r + h) - kernel_value(spec, r - h)) / (2.0 * h)
@@ -177,6 +177,15 @@ def test_spec_validation():
         KernelSpec(alpha=math.inf)
     with pytest.raises(ConfigurationError):
         KernelSpec(family="bessel", nu=1.0)
+    # Widths and orders whose constants vanish or overflow.
+    for kw in (
+        {"alpha": 1e-300},
+        {"alpha": 1e200},
+        {"family": "gaussian", "alpha": 1e200},
+        {"family": "bessel", "nu": 1e308},
+    ):
+        with pytest.raises(ConfigurationError, match="alpha=.*, nu="):
+            KernelSpec(**kw)
     with pytest.raises(ValueError):
         KernelSpec(family="triangular")
 

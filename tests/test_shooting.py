@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from geoshoot import (
     ConfigurationError,
+    DegenerateConfigurationError,
+    DivergenceError,
     EvolveConfig,
     KernelFamily,
     KernelSpec,
@@ -52,24 +54,68 @@ def test_self_match_is_a_fixed_point(solve):
     np.testing.assert_array_equal(result.p0, np.zeros((8, 2)))
 
 
-@pytest.mark.parametrize("sigma2", [0.0, 0.3])
-def test_self_match_stops_after_the_initial_shoot(sigma2, monkeypatch):
-    # Both stopping norms, |r0| and the first move h * |r0|, are tested
-    # right after the shoot from p = 0, so a self-match takes one shoot.
-    shoots = [0]
+@pytest.fixture()
+def shoots(monkeypatch):
+    """A one-item list counting the shoots of the driver, one per member
+    of each stack it evolves."""
+    count = [0]
     evolve_stack = shooting._evolve_stack
 
     def counted_evolve(spec, k, q, *args):
-        shoots[0] += len(q)  # one shoot per member of the stack
+        count[0] += len(q)
         return evolve_stack(spec, k, q, *args)
 
     monkeypatch.setattr(shooting, "_evolve_stack", counted_evolve)
+    return count
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.3])
+def test_self_match_takes_no_shoot(sigma2, shoots):
+    # The run starts from p = 0, whose geodesic ends at the reference
+    # itself, and both stopping norms, |r0| and the first move h * |r0|,
+    # are tested there, so a self-match shoots nothing.
     result = match(REF, REF, quick_cfg(system=SystemSpec(sigma2=sigma2)))
     assert result.converged
     assert result.iterations == 0
     assert result.residual_history == ()
-    assert shoots[0] == 1
+    assert shoots[0] == 0
     np.testing.assert_array_equal(result.p0, np.zeros((8, 2)))
+
+
+@pytest.mark.parametrize("solve, per_iteration", [(match, 1), (newton_match, 2 * 8 + 1)])
+def test_each_iteration_shoots_once_plus_its_jacobian(solve, per_iteration, shoots):
+    result = solve(REF, TGT, quick_cfg(h=1.0))
+    assert result.converged and result.iterations > 0
+    assert shoots[0] == result.iterations * per_iteration
+
+
+@pytest.mark.parametrize("solve", [match, newton_match])
+def test_gram_that_is_not_positive_definite_raises(solve):
+    # A wide gaussian kernel over 32 landmarks has a numerically singular
+    # Gram matrix: no cell can start, and the run ends in its error.
+    cfg = ShootingConfig(
+        h=0.4, system=SystemSpec(kernel=KernelSpec(family="gaussian", alpha=5.0))
+    )
+    with pytest.raises(
+        DegenerateConfigurationError, match="kernel Gram matrix is not positive definite: "
+    ):
+        solve(circle(2.0, n=32), heart4(32), cfg)
+
+
+def _unreachable_probe(x):
+    raise DivergenceError("non-finite state at step 1")
+
+
+@pytest.mark.parametrize(
+    "shoot", [_unreachable_probe, lambda x: TGT.points], ids=["diverging", "singular"]
+)
+def test_newton_direction_falls_back_to_the_residual(shoot):
+    # A probe that cannot be shot, or an endpoint that does not move
+    # (J = 0), turns the Newton step into one feedback update.
+    x = np.ones((8, 2))
+    residual = TGT.points - REF.points
+    step = shooting._newton_direction(shoot, x, TGT.points, residual)
+    assert step is residual
 
 
 def test_momenta_velocity_round_trip():
