@@ -13,7 +13,11 @@ the particle module's unvalidated ``_rhs``, and a ``ParticleState`` is
 built only for the frames and the final state it returns.  The loop
 advances a (B, N, 2) stack of systems in lockstep, which is how the
 shooting driver runs many matches at once; ``evolve`` is the stack of
-one.
+one.  It holds the stack's state y = (q, p) as one C-ordered
+(2, B, N, 2) array, and ``_rhs`` returns (dq, dp) in that layout, so a
+stage is one ``y + (dt/2) k``, the step one weighted sum, and the
+finite check one test of y: elementwise arithmetic rounds the same on
+the joint array as on q and p apart.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     require_positive,
 )
 from .kernels import _constants
-from .particles import ParticleState, SystemSpec, _rhs
+from .particles import ParticleState, SystemSpec, _rhs, _stack
 
 __all__ = ["EvolveConfig", "EvolveResult", "evolve"]
 
@@ -83,17 +87,16 @@ def _evolve_stack(
     is on.
     """
     dt = config.t_final / config.steps
+    half, sixth = 0.5 * dt, dt / 6.0
     # Frame times come from the fraction (step / steps) * t_final so the
     # last one lands on t_final exactly instead of accumulating dt error.
     t_at = lambda i: config.t_final * (i / config.steps)
-    # C order, whatever the caller's layout (a Cholesky solve returns
-    # Fortran order): the BLAS products round differently per layout.
-    q, p = np.ascontiguousarray(q), np.ascontiguousarray(p)
+    y = _stack(q, p)
     failures = {}
 
     frames = []
     if config.capture_every > 0:
-        frames.append((0.0, q.copy(), p.copy()))
+        frames.append((0.0, *y.copy()))
 
     # Oversized steps overflow to inf inside the stage evaluations before
     # the finite-state check catches them; that path is expected, so the
@@ -106,21 +109,19 @@ def _evolve_stack(
     # state in the same step.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            t = t_at(step)
-            k1q, k1p, c1 = _rhs(spec, q, p, k)
-            k2q, k2p, c2 = _rhs(spec, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p, k)
-            k3q, k3p, c3 = _rhs(spec, q + 0.5 * dt * k2q, p + 0.5 * dt * k2p, k)
-            k4q, k4p, c4 = _rhs(spec, q + dt * k3q, p + dt * k3p, k)
-            q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            for b, exc in {**c4, **c3, **c2, **c1}.items():
-                failures.setdefault(b, DegenerateConfigurationError(
-                    f"{exc} (during step {step + 1}, t in [{t:.6g}, {t + dt:.6g}])"
-                ))
-            if not (np.isfinite(q).all() and np.isfinite(p).all()):
-                finite = np.isfinite(q).all(axis=(1, 2))
-                finite &= np.isfinite(p).all(axis=(1, 2))
-                for b in np.flatnonzero(~finite):
+            k1, c1 = _rhs(spec, y, k)
+            k2, c2 = _rhs(spec, y + half * k1, k)
+            k3, c3 = _rhs(spec, y + half * k2, k)
+            k4, c4 = _rhs(spec, y + dt * k3, k)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if c1 or c2 or c3 or c4:
+                t = t_at(step)
+                for b, exc in {**c4, **c3, **c2, **c1}.items():
+                    failures.setdefault(b, DegenerateConfigurationError(
+                        f"{exc} (during step {step + 1}, t in [{t:.6g}, {t + dt:.6g}])"
+                    ))
+            if not np.isfinite(y).all():
+                for b in np.flatnonzero(~np.isfinite(y).all(axis=(0, 2, 3))):
                     failures.setdefault(int(b), DivergenceError(
                         f"non-finite state at step {step + 1} "
                         f"(t = {t_at(step + 1):.6g}); "
@@ -129,9 +130,9 @@ def _evolve_stack(
             if config.capture_every > 0 and (
                 (step + 1) % config.capture_every == 0 or step + 1 == config.steps
             ):
-                frames.append((t_at(step + 1), q.copy(), p.copy()))
+                frames.append((t_at(step + 1), *y.copy()))
 
-    return q, p, failures, frames
+    return y[0], y[1], failures, frames
 
 
 def evolve(

@@ -22,13 +22,12 @@ then reads exp(-r/alpha)).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import kv as _besselk
 
 from .errors import ConfigurationError, DegenerateConfigurationError, require_positive
 
@@ -110,8 +109,13 @@ def _member_constants(spec: KernelSpec) -> tuple:
     alpha = spec.alpha
     c = 0.0
     if spec.family is KernelFamily.BESSEL:
+        # scipy.special is imported in the bessel branches only: no other
+        # family uses it, and importing it adds about 3.5 MB to a run's
+        # peak memory and tens of milliseconds to its start.
+        from scipy.special import gamma
+
         c = 2.0 ** (1.0 - spec.nu) / (
-            2.0 * math.pi * alpha ** (1.0 + spec.nu) * _gamma(spec.nu)
+            2.0 * math.pi * alpha ** (1.0 + spec.nu) * gamma(spec.nu)
         )
     return alpha, alpha**2, spec.peak(), c, c / alpha
 
@@ -153,6 +157,8 @@ def _kernel_terms(
     """
     alpha, alpha2, peak, c, c_alpha = _member_constants(spec) if k is None else k
     if spec.family is KernelFamily.BESSEL:
+        from scipy.special import kv
+
         # d/dz [z^mu K_mu(z)] = -z^mu K_(mu-1)(z), with z = r / alpha.
         mu = spec.nu - 1.0
         value = np.full_like(r, peak)
@@ -163,11 +169,11 @@ def _kernel_terms(
         z = rp / at(alpha)
         r_mu = rp**mu
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = at(c) * r_mu * _besselk(mu, z)
+            vals = at(c) * r_mu * kv(mu, z)
         # kv overflows for extremely small arguments at large order; the
         # product is finite there and indistinguishable from the peak
         value[pos] = np.where(np.isfinite(vals), vals, at(peak))
-        slope[pos] = -at(c_alpha) * r_mu * _besselk(mu - 1.0, z)
+        slope[pos] = -at(c_alpha) * r_mu * kv(mu - 1.0, z)
         if spec.normalized:
             value /= peak
             slope /= peak
@@ -231,6 +237,28 @@ def _block_members(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // (min(_block_rows(n), n) * n))
 
 
+def _block_spans(m: int, n: int) -> tuple:
+    """Row spans (s, e) of a pairwise pass over m rows against n columns,
+    :func:`_block_rows` (n) rows each: the one definition of the block
+    boundaries."""
+    rows = _block_rows(n)
+    return tuple((s, min(s + rows, m)) for s in range(0, m, rows))
+
+
+def _upper_plan(n: int) -> tuple:
+    """The block plan of an n-point set against itself: its upper spans
+    (:func:`_block_spans` (n, n)) and the members per chunk
+    (:func:`_block_members`), under the current ``_BLOCK_ENTRIES``."""
+    return _cached_plan(n, _BLOCK_ENTRIES)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_plan(n: int, entries: int) -> tuple:
+    # ``entries`` keys the cache only: the helpers read _BLOCK_ENTRIES,
+    # which equals it while the plan is built.
+    return _block_spans(n, n), _block_members(n)
+
+
 def as_points(points, name: str = "points", n: int | None = None) -> np.ndarray:
     """``points`` as a float (N, 2) array with finite entries and N >= 1,
     or N = ``n`` when given.
@@ -280,10 +308,9 @@ def pairwise_blocks(x: np.ndarray, q: np.ndarray | None = None):
     same rows per block as one member alone.
     """
     upper = q is None
-    rows = _block_rows(x.shape[-2] if upper else q.shape[-2])
-    for s in range(0, x.shape[-2], rows):
-        block = x[..., s : s + rows, :]
-        yield s, pairwise_distances(block, x[..., s:, :] if upper else q)
+    m = x.shape[-2]
+    for s, e in _block_spans(m, m if upper else q.shape[-2]):
+        yield s, pairwise_distances(x[..., s:e, :], x[..., s:, :] if upper else q)
 
 
 def coincident_pair(dist: np.ndarray, start: int = 0):

@@ -18,15 +18,18 @@ Input is validated at the public boundary: :class:`ParticleState`
 checks shapes and finiteness once, and :func:`rhs` hands its arrays to
 the unvalidated ``_rhs``, which the RK4 loop of
 :mod:`geoshoot.integrator` calls directly on every stage.  ``_rhs``
-works on a (B, N, 2) stack of systems that may differ in kernel width,
-so that many independent shoots advance in lockstep; each member's
-arithmetic is the same as alone.  Every kernel sum here is a loop over
-the row blocks of :func:`geoshoot.kernels.pairwise_blocks`, so no full
-(N, N) matrix is held.  ``_rhs`` takes the particles against themselves
-in upper blocks, rows s:e against columns s:N: K and A are symmetric,
-so each block's strictly upper part, transposed, also gives rows e:N
-their terms from rows s:e, and every pair's distance and kernel terms
-are computed once.
+works on the state y = (q, p) of a (B, N, 2) stack of systems, held as
+one C-ordered (2, B, N, 2) array (:func:`_stack`), whose members may
+differ in kernel width, so that many independent shoots advance in
+lockstep; each member's arithmetic is the same as alone.  Every kernel
+sum here runs in the row blocks of
+:func:`geoshoot.kernels.pairwise_blocks`, so no full (N, N) matrix is
+held.  ``_rhs`` takes the particles against themselves in upper blocks,
+rows s:e against columns s:N, with the spans of the block plan
+:func:`geoshoot.kernels._upper_plan`, computed once per N and block
+budget rather than on every stage: K and A are symmetric, so each block's
+strictly upper part, transposed, also gives rows e:N their terms from
+rows s:e, and every pair's distance and kernel terms are computed once.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .kernels import (
     KernelSpec,
-    _block_members,
     _constants,
     _kernel_terms,
     _members,
+    _upper_plan,
     as_points,
     kernel_value,
     pairwise_blocks,
+    pairwise_distances,
 )
 
 __all__ = [
@@ -91,9 +95,24 @@ class SystemSpec:
             )
 
 
-def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray, k: tuple):
-    """(dq, dp, clashes) on raw (B, N, 2) stacks, with no input validation.
+def _stack(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The state y = (q, p) of a (B, N, 2) stack of systems as one
+    C-ordered (2, B, N, 2) array, whatever the layout of q and p.
 
+    The BLAS products of :func:`_rhs` round differently per layout, and
+    a Cholesky solve returns Fortran order; in C order q = y[0] and
+    p = y[1] are C-contiguous whatever the caller passed.
+    """
+    y = np.empty((2,) + q.shape)
+    y[0], y[1] = q, p
+    return y
+
+
+def _rhs(spec: SystemSpec, y: np.ndarray, k: tuple):
+    """(d, clashes) on a raw (2, B, N, 2) state, with no input validation.
+
+    y = (q, p) holds a (B, N, 2) stack of systems in the C order of
+    :func:`_stack`, and d = (dq, dp) comes back in the same layout.
     Member b runs the system with ``spec``'s sigma2 and kernel family
     and with member b of the kernel constants ``k`` (a
     :func:`~geoshoot.kernels._constants` stack), so the members of one
@@ -103,21 +122,25 @@ def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray, k: tuple):
     tolerated only when their momentum product vanishes, in which case
     their A entry is zero; ``clashes`` maps each member that has an
     interacting coincident pair to the error that pair raises, and that
-    member's (dq, dp) is then meaningless.  The members are taken in
-    chunks of :func:`~geoshoot.kernels._block_members`, and each chunk's
-    K and A are built one upper block of :func:`pairwise_blocks` at a
-    time: rows s:e against columns s:N, whose diagonal is every member's
-    flat strided slice [::N-s+1].  The block gives rows s:e their terms
-    from columns s:N, and its columns e:N, transposed, give rows e:N
-    their terms from columns s:e.  The first block writes its rows in
-    place and later ones add to them, so a one-block system (N <= 181)
-    rounds exactly as a plain N x N build.
+    member's (dq, dp) is then meaningless.
+
+    The work follows the block plan of
+    :func:`~geoshoot.kernels._upper_plan`, the spans of
+    :func:`~geoshoot.kernels.pairwise_blocks` over the points against
+    themselves: members in chunks, and each chunk's K and A built one
+    upper block at a time, rows s:e against columns s:N, whose diagonal
+    is every member's flat strided slice [::N-s+1].  The block gives rows
+    s:e their terms from columns s:N, and its columns e:N, transposed,
+    give rows e:N their terms from columns s:e.  The first block writes
+    its rows in place and later ones add to them, so a one-block system
+    (N <= 181) rounds exactly as a plain N x N build.
     """
+    q, p = y
     n = q.shape[1]
-    dq = np.empty_like(p)
-    dp = np.empty_like(q)
+    d = np.empty_like(y)
+    dq, dp = d
     clashes = {}
-    chunk = _block_members(n)
+    spans, chunk = _upper_plan(n)
     for c in range(0, len(q), chunk):
         if chunk >= len(q):
             qc, pc, dqc, dpc, kc = q, p, dq, dp, k
@@ -125,14 +148,16 @@ def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray, k: tuple):
             members = slice(c, c + chunk)
             qc, pc, dqc, dpc = q[members], p[members], dq[members], dp[members]
             kc = _members(k, members)
-        for s, dist in pairwise_blocks(qc):
-            e = s + dist.shape[1]
+        for s, e in spans:
             # Columns s:N; the first block spans them all.
             qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
+            qe = qc[:, s:e]
+            dist = pairwise_distances(qe, qs)
             kmat, a = _kernel_terms(spec.kernel, dist, kc)
             pdot = pc[:, s:e] @ ps.transpose(0, 2, 1)
             # dist is exactly 0 on the block's diagonal; any other 0 is a
-            # coincident pair.
+            # coincident pair.  The test counts nonzeros rather than taking
+            # a minimum, which a NaN in another member would poison.
             dist.reshape(len(dist), -1)[:, :: n - s + 1] = 1.0
             coincident = None
             if np.count_nonzero(dist) < dist.size:
@@ -155,10 +180,10 @@ def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray, k: tuple):
             row_sums = np.add.reduce(a, axis=2, keepdims=True)
             if s == 0:
                 np.matmul(kmat, ps, out=dqc[:, s:e])
-                np.subtract(a @ qs, row_sums * qc[:, s:e], out=dpc[:, s:e])
+                np.subtract(a @ qs, row_sums * qe, out=dpc[:, s:e])
             else:
                 dqc[:, s:e] += kmat @ ps
-                dpc[:, s:e] += a @ qs - row_sums * qc[:, s:e]
+                dpc[:, s:e] += a @ qs - row_sums * qe
             if e == n:
                 continue
             # Rows e:N, from the block's strictly upper part transposed.
@@ -167,23 +192,27 @@ def _rhs(spec: SystemSpec, q: np.ndarray, p: np.ndarray, k: tuple):
             col_sums = np.add.reduce(at, axis=2, keepdims=True)
             if s == 0:
                 np.matmul(kt, pc[:, s:e], out=dqc[:, e:])
-                np.subtract(at @ qc[:, s:e], col_sums * qc[:, e:], out=dpc[:, e:])
+                np.subtract(at @ qe, col_sums * qc[:, e:], out=dpc[:, e:])
             else:
                 dqc[:, e:] += kt @ pc[:, s:e]
-                dpc[:, e:] += at @ qc[:, s:e] - col_sums * qc[:, e:]
+                dpc[:, e:] += at @ qe - col_sums * qc[:, e:]
     if spec.sigma2 != 0.0:
         dq += spec.sigma2 * p
-    return dq, dp, clashes
+    return d, clashes
 
 
 def rhs(spec: SystemSpec, state: ParticleState) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative (dq, dp) of the particle system at ``state``."""
-    dq, dp, clashes = _rhs(
-        spec, state.q[None], state.p[None], _constants([spec.kernel])
+    """Time derivative (dq, dp) of the particle system at ``state``.
+
+    The result does not depend on the memory layout of ``state.q`` and
+    ``state.p``: they are copied into one C-ordered state first.
+    """
+    d, clashes = _rhs(
+        spec, _stack(state.q[None], state.p[None]), _constants([spec.kernel])
     )
     if clashes:
         raise clashes[0]
-    return dq[0], dp[0]
+    return d[0, 0], d[1, 0]
 
 
 def hamiltonian(spec: SystemSpec, state: ParticleState) -> float:

@@ -311,18 +311,24 @@ def _drive(
         except DegenerateConfigurationError as exc:
             results[cell.index] = exc
 
+    # One Gram factor per kernel, or the error its factorization raised:
+    # a matrix that has no Cholesky factor is tried once, not per cell.
     solvers = {}
     live = []
     for i, cfg in enumerate(cfgs):
         kernel = cfg.system.kernel
-        velocity = cfg.update_space is UpdateSpace.VELOCITY
-        try:
-            if velocity and kernel not in solvers:
-                solvers[kernel] = _GramSolver(kernel, q0)
-        except DegenerateConfigurationError as exc:
-            results[i] = exc
-            continue
-        cell = _Cell(i, cfg, solvers[kernel] if velocity else None, q0, goal)
+        solver = None
+        if cfg.update_space is UpdateSpace.VELOCITY:
+            if kernel not in solvers:
+                try:
+                    solvers[kernel] = _GramSolver(kernel, q0)
+                except DegenerateConfigurationError as exc:
+                    solvers[kernel] = exc
+            solver = solvers[kernel]
+            if isinstance(solver, DegenerateConfigurationError):
+                results[i] = solver
+                continue
+        cell = _Cell(i, cfg, solver, q0, goal)
         cell.initial = _norm(cfg.norm, cell.residual)
         if not residual_rule:
             cell.initial *= cfg.h

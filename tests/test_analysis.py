@@ -166,6 +166,25 @@ def test_sweep_cells_without_a_gram_factor_diverge():
     assert mat.tolist() == [[DIVERGED, DIVERGED]]
 
 
+def test_sweep_factors_each_gram_matrix_once(monkeypatch):
+    """The alpha^2 = 400 Gram matrix has no Cholesky factor; its five
+    cells share one failed attempt, as the other row shares one factor."""
+    made = []
+
+    class CountedGramSolver(shooting._GramSolver):
+        def __init__(self, kernel, q0):
+            made.append(kernel)
+            super().__init__(kernel, q0)
+
+    monkeypatch.setattr(shooting, "_GramSolver", CountedGramSolver)
+    grid = SweepGrid(
+        (0.2, 400.0), (0.2, 0.4, 0.6, 0.8, 1.0), n_landmarks=32, kernel_family="gaussian"
+    )
+    mat = convergence_sweep(circle(2.0, n=32), heart4(32), grid)
+    assert len(made) == 2
+    assert np.all(mat == DIVERGED)
+
+
 def test_sweep_rejects_unequal_landmark_counts():
     # A bad pair is a configuration error, not a grid of diverged cells.
     grid = SweepGrid(alpha2_values=(1.0,), h_values=(0.5,), n_landmarks=16)

@@ -6,12 +6,14 @@ from geoshoot import (
     DegenerateConfigurationError,
     DivergenceError,
     EvolveConfig,
+    KernelFamily,
     KernelSpec,
     ParticleState,
     SystemSpec,
     circle,
     conserved_quantities,
     evolve,
+    rhs,
 )
 from geoshoot import integrator, kernels
 
@@ -171,3 +173,69 @@ def test_stack_failures_leave_the_other_members_unchanged():
         else:
             alone = run().final
             assert np.array_equal(end_q[b], alone.q) and np.array_equal(end_p[b], alone.p)
+
+
+def _two_array_rk4(spec, q, p, config):
+    """Classical RK4 with q and p updated as separate arrays, every stage
+    through the public rhs: the reference for the fused (2, B, N, 2)
+    loop.  Returns the (t, q, p) frames the loop captures."""
+    dt = config.t_final / config.steps
+    frames = [(0.0, q, p)]
+    for step in range(config.steps):
+        k1q, k1p = rhs(spec, ParticleState(q, p))
+        k2q, k2p = rhs(spec, ParticleState(q + 0.5 * dt * k1q, p + 0.5 * dt * k1p))
+        k3q, k3p = rhs(spec, ParticleState(q + 0.5 * dt * k2q, p + 0.5 * dt * k2p))
+        k4q, k4p = rhs(spec, ParticleState(q + dt * k3q, p + dt * k3p))
+        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        if (step + 1) % config.capture_every == 0 or step + 1 == config.steps:
+            frames.append((config.t_final * ((step + 1) / config.steps), q, p))
+    return frames
+
+
+@pytest.mark.parametrize("n", [6, 182, 300])
+def test_fused_loop_equals_a_two_array_rk4(n):
+    """Every member of a stack of three widths, in every family, exact
+    and inexact, ends and passes its captured frames bit for bit where
+    the two-array RK4 puts it; N = 182 and 300 take two row blocks."""
+    rng = np.random.default_rng(n)
+    q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(3, n, 2))
+    p = 0.3 * rng.normal(size=(3, n, 2))
+    config = EvolveConfig(steps=4, capture_every=3)
+    for family in KernelFamily:
+        specs = [KernelSpec(family=family, nu=2.5, alpha=a) for a in (0.6, 1.0, 1.7)]
+        for sigma2 in (0.0, 0.3):
+            system = SystemSpec(kernel=specs[0], sigma2=sigma2)
+            end_q, end_p, failures, frames = integrator._evolve_stack(
+                system, kernels._constants(specs), q, p, config
+            )
+            assert failures == {}
+            for b, spec in enumerate(specs):
+                want = _two_array_rk4(SystemSpec(kernel=spec, sigma2=sigma2), q[b], p[b], config)
+                assert [t for t, _, _ in frames] == [t for t, _, _ in want]
+                for (_, fq, fp), (_, wq, wp) in zip(frames, want, strict=True):
+                    assert np.array_equal(fq[b], wq) and np.array_equal(fp[b], wp)
+                assert np.array_equal(end_q[b], want[-1][1])
+                assert np.array_equal(end_p[b], want[-1][2])
+
+
+def test_a_non_finite_member_does_not_hide_a_clash():
+    """Member 0 is NaN from the start and member 1 has an interacting
+    coincident pair.  Member 1 still fails with the clash it raises alone,
+    at the same step: a NaN distance in one member must not mask a zero
+    distance in another."""
+    rng = np.random.default_rng(5)
+    q = rng.uniform(-2.0, 2.0, size=(3, 5, 2))
+    p = rng.uniform(-2.0, 2.0, size=(3, 5, 2))
+    q[0, 2] = np.nan
+    q[1, 3], p[1, 3] = q[1, 1], p[1, 1]
+    specs = [KernelSpec(alpha=a) for a in (0.6, 1.0, 1.7)]
+    config = EvolveConfig(steps=8)
+    _, _, failures, _ = integrator._evolve_stack(
+        SystemSpec(kernel=specs[0]), kernels._constants(specs), q, p, config
+    )
+    assert sorted(failures) == [0, 1]
+    assert isinstance(failures[0], DivergenceError)
+    with pytest.raises(DegenerateConfigurationError) as err:
+        evolve(SystemSpec(kernel=specs[1]), ParticleState(q[1], p[1]), config)
+    assert str(failures[1]) == str(err.value)

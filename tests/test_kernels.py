@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -238,3 +242,23 @@ def test_gram_is_identical_under_every_block_budget():
         for budget in range(1, 12 * 12 + 1):
             with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
                 np.testing.assert_array_equal(gram_matrix(spec, pts), whole)
+
+
+def test_scipy_special_loads_only_for_bessel_kernels():
+    """A conical match never imports scipy.special; a bessel kernel
+    imports it on first use."""
+    code = "\n".join([
+        "import sys",
+        "from geoshoot import KernelSpec, ShootingConfig, circle, kernel_value, match",
+        "assert match(circle(1.0, n=6), circle(1.3, n=6), ShootingConfig(h=0.5)).converged",
+        "assert 'scipy.special' not in sys.modules, 'loaded by a conical match'",
+        "kernel_value(KernelSpec(family='bessel', nu=2.5), 1.0)",
+        "assert 'scipy.special' in sys.modules, 'not loaded by a bessel kernel'",
+    ])
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

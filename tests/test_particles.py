@@ -397,6 +397,25 @@ def test_rhs_default_blocks_agree_with_one_block():
                 assert total <= 1e-12 * _dp_term_scale(spec, q, p)
 
 
+@pytest.mark.parametrize("n", [16, 182, 300])
+def test_rhs_does_not_depend_on_the_momentum_layout(n):
+    """A Cholesky solve (momenta_from_velocity) returns Fortran-ordered
+    momenta; rhs rounds them exactly as their C-ordered copy, which is
+    what the RK4 loop holds."""
+    rng = np.random.default_rng(n)
+    q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(n, 2))
+    p_f = np.asfortranarray(rng.normal(size=(n, 2)))
+    p_c = np.ascontiguousarray(p_f)
+    assert not p_f.flags.c_contiguous
+    for family in KernelFamily:
+        for sigma2 in (0.0, 0.3):
+            spec = SystemSpec(kernel=KernelSpec(family=family, nu=2.5), sigma2=sigma2)
+            fortran = rhs(spec, ParticleState(q, p_f))
+            c_order = rhs(spec, ParticleState(q, p_c))
+            for got, want in zip(fortran, c_order):
+                assert np.array_equal(got, want)
+
+
 def test_stacked_rhs_equals_each_member_alone_across_upper_blocks():
     """At N = 200 the rows split into upper blocks of 163 and 37; a stack
     of three widths is still bit-equal to three lone calls."""
@@ -524,7 +543,10 @@ def _budget(budget, n):
 
 def _stacked_rhs(specs, sigma2, q, p):
     system = SystemSpec(kernel=specs[0], sigma2=sigma2)
-    return particles._rhs(system, q, p, kernels._constants(specs))
+    d, clashes = particles._rhs(
+        system, particles._stack(q, p), kernels._constants(specs)
+    )
+    return d[0], d[1], clashes
 
 
 @st.composite
