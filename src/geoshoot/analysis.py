@@ -25,7 +25,7 @@ from .integrator import EvolveConfig, evolve
 from .kernels import KernelFamily, KernelSpec
 from .particles import ParticleState, SystemSpec
 from .shapes import LandmarkTemplate, PlanarIsometry
-from .shooting import MatchResult, ShootingConfig, _drive, match
+from .shooting import MatchResult, ShootingConfig, _drive, _solve, match
 
 __all__ = [
     "DIVERGED",
@@ -114,13 +114,12 @@ def shape_distance(
     arguments (swapping them solves a different boundary problem); a
     non-converged run still reports H but flags it via ``converged``.
     """
-    res = match(reference, target, cfg)
+    return _record(reference, target, match(reference, target, cfg))
+
+
+def _record(reference, target, res: MatchResult) -> DistanceRecord:
     return DistanceRecord(
-        reference_label=reference.label,
-        target_label=target.label,
-        H=res.hamiltonian,
-        iterations=res.iterations,
-        converged=res.converged,
+        reference.label, target.label, res.hamiltonian, res.iterations, res.converged
     )
 
 
@@ -135,10 +134,10 @@ def iso_invariance_check(
     Exact equivariance of every pipeline stage makes this zero to
     machine precision; a nonzero value of any size indicates a stage
     that is not isometry invariant.  Raises on non-convergence of
-    either match since the difference would compare unlike things.
+    either match since the difference would compare unlike things.  Both
+    matches run as one lockstep batch of the shooting driver.
     """
-    plain = match(a, b, cfg)
-    moved = match(g.apply(a), g.apply(b), cfg)
+    plain, moved = _solve([(a, b, cfg), (g.apply(a), g.apply(b), cfg)])
     for name, res in (("original", plain), ("transformed", moved)):
         if not res.converged:
             raise DivergenceError(
@@ -174,7 +173,9 @@ def cluster_test(
     flips with them, so a default would bake in a judgment this library
     has no business making.  References should be mutually well
     separated; with ``preprocess`` the inputs are centroid-aligned and
-    RMS-scaled first (off by default).
+    RMS-scaled first (off by default).  The 1 + 2 len(refs) matches run
+    as one lockstep batch of the shooting driver, and the first one that
+    fails with an error, in evidence order, raises it.
     """
     if len(refs) < 2:
         raise ConfigurationError(f"need at least 2 reference shapes, got {len(refs)}")
@@ -190,19 +191,18 @@ def cluster_test(
         a, b = _normalized(a), _normalized(b)
         refs = [_normalized(r) for r in refs]
 
-    evidence = [shape_distance(a, b, cfg)]
-    for ref in refs:
-        evidence.append(shape_distance(ref, a, cfg))
-        evidence.append(shape_distance(ref, b, cfg))
+    pairs = [(a, b)] + [(ref, x) for ref in refs for x in (a, b)]
+    results = _solve([(ref, tgt, cfg) for ref, tgt in pairs])
+    evidence = tuple(_record(*pair, res) for pair, res in zip(pairs, results))
 
     if not all(rec.converged for rec in evidence):
-        return ClusterVerdict(same_cluster=None, evidence=tuple(evidence))
+        return ClusterVerdict(same_cluster=None, evidence=evidence)
 
     verdict = evidence[0].H <= pair_thr and all(
         abs(evidence[i].H - evidence[i + 1].H) <= ref_thr
         for i in range(1, len(evidence), 2)
     )
-    return ClusterVerdict(same_cluster=verdict, evidence=tuple(evidence))
+    return ClusterVerdict(same_cluster=verdict, evidence=evidence)
 
 
 def triangle_inequality_audit(records) -> list:
@@ -286,7 +286,7 @@ def convergence_sweep(
     ]
     counts = [
         res.iterations if isinstance(res, MatchResult) and res.converged else DIVERGED
-        for res in _drive(reference, target, cfgs, newton=False)
+        for res in _drive([(reference, target, cfg) for cfg in cfgs], newton=False)
     ]
     return np.array(counts, dtype=int).reshape(len(grid.alpha2_values), -1)
 
@@ -342,13 +342,14 @@ def exact_vs_inexact(
 
     The first row is the exact run (sigma2 = 0, at ``cfg.h``), stopping
     once the endpoint residual |r| < epsilon; one more row follows per
-    requested sigma2 (a requested sigma2 = 0 at ``cfg.h`` reuses the
-    exact run rather than matching again).  An inexact row (sigma2 > 0) stops once the
+    requested sigma2.  An inexact row (sigma2 > 0) stops once the
     iterate's move h * |r| < epsilon, so its endpoint lies within about
     epsilon / h of the target.  Requested rows may need their own step
     size (large sigma2 destabilizes the feedback loop), supplied via
     ``h_by_sigma2``; the final residual column makes the growing
-    deviation from the exact endpoint visible.
+    deviation from the exact endpoint visible.  The rows run as one
+    lockstep batch of the shooting driver, with one match per distinct
+    (sigma2, h): a requested sigma2 = 0 at ``cfg.h`` is the exact run.
     """
     rows = []
     for k, sigma2 in enumerate((0.0, *sigma2_values)):
@@ -356,27 +357,12 @@ def exact_vs_inexact(
         h = cfg.h
         if k > 0 and h_by_sigma2 is not None:
             h = float(h_by_sigma2.get(s2, cfg.h))
-        if k > 0 and s2 == 0.0 and h == cfg.h:
-            # The exact run again: same config, same result.
-            rows.append(replace(rows[0], sigma2=s2, h=h))
-            continue
-        row_cfg = replace(cfg, h=h, system=replace(cfg.system, sigma2=s2))
-        rows.append(_exactness_row(reference, target, s2, row_cfg))
-    return tuple(rows)
-
-
-def _exactness_row(
-    reference: LandmarkTemplate,
-    target: LandmarkTemplate,
-    sigma2: float,
-    cfg: ShootingConfig,
-) -> ExactnessRow:
-    res = match(reference, target, cfg)
-    return ExactnessRow(
-        sigma2=sigma2,
-        h=cfg.h,
-        H=res.hamiltonian,
-        final_residual=res.final_residual,
-        iterations=res.iterations,
-        converged=res.converged,
+        rows.append(replace(cfg, h=h, system=replace(cfg.system, sigma2=s2)))
+    distinct = list(dict.fromkeys(rows))
+    solved = dict(zip(distinct, _solve([(reference, target, c) for c in distinct])))
+    return tuple(
+        ExactnessRow(
+            c.system.sigma2, c.h, r.hamiltonian, r.final_residual, r.iterations, r.converged
+        )
+        for c, r in zip(rows, map(solved.get, rows))
     )

@@ -32,7 +32,7 @@ from .errors import (
     require_count,
     require_positive,
 )
-from .kernels import _constants
+from .kernels import KernelSpec, _constants
 from .particles import ParticleState, SystemSpec, _rhs, _stack
 
 __all__ = ["EvolveConfig", "EvolveResult", "evolve"]
@@ -70,12 +70,13 @@ class EvolveResult:
 
 
 def _evolve_stack(
-    spec: SystemSpec, k: tuple, q: np.ndarray, p: np.ndarray, config: EvolveConfig
+    kernel: KernelSpec, k: tuple, q: np.ndarray, p: np.ndarray, config: EvolveConfig
 ):
     """RK4 over [0, t_final] for a (B, N, 2) stack of systems, in lockstep.
 
-    Member b starts from (q[b], p[b]) and runs with member b of the
-    kernel constants ``k`` (see :func:`~geoshoot.particles._rhs`).  Returns
+    Member b starts from (q[b], p[b]) and runs with ``kernel``'s family,
+    nu and normalization and member b of the constants ``k``, its alpha
+    and sigma2 (see :func:`~geoshoot.particles._rhs`).  Returns
     (q, p, failures, frames).  ``failures`` maps each member that
     degenerated (coincident interacting particles) or stopped being
     finite to the DegenerateConfigurationError or DivergenceError that
@@ -109,10 +110,10 @@ def _evolve_stack(
     # state in the same step.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            k1, c1 = _rhs(spec, y, k)
-            k2, c2 = _rhs(spec, y + half * k1, k)
-            k3, c3 = _rhs(spec, y + half * k2, k)
-            k4, c4 = _rhs(spec, y + dt * k3, k)
+            k1, c1 = _rhs(kernel, y, k)
+            k2, c2 = _rhs(kernel, y + half * k1, k)
+            k3, c3 = _rhs(kernel, y + half * k2, k)
+            k4, c4 = _rhs(kernel, y + dt * k3, k)
             y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if c1 or c2 or c3 or c4:
                 t = t_at(step)
@@ -146,8 +147,9 @@ def evolve(
     """
     if config is None:
         config = EvolveConfig()
+    k = _constants([spec.kernel], [spec.sigma2])
     q, p, failures, frames = _evolve_stack(
-        spec, _constants([spec.kernel]), state.q[None], state.p[None], config
+        spec.kernel, k, state.q[None], state.p[None], config
     )
     if failures:
         raise failures[0]

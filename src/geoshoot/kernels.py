@@ -80,7 +80,7 @@ class KernelSpec:
         # every evaluation divides by or scales with.
         try:
             with np.errstate(all="ignore"):
-                _, _, peak, c, _ = _member_constants(self)
+                _, _, peak, c, *_ = _member_constants(self)
         except (ZeroDivisionError, OverflowError):
             peak = c = math.nan
         if not (0 < peak < math.inf) or (
@@ -100,8 +100,8 @@ class KernelSpec:
 
 
 def _member_constants(spec: KernelSpec) -> tuple:
-    """alpha, alpha**2, G(0), and the Bessel factors c and c / alpha of one
-    kernel, as scalars (c is 0 outside the bessel family).
+    """alpha, alpha**2, G(0), the Bessel factors c and c / alpha, and
+    -alpha of one kernel, as scalars (c is 0 outside the bessel family).
 
     A batch of kernels stacks these per member (:func:`_constants`), so
     every member's terms round exactly as a lone kernel's do.
@@ -117,12 +117,13 @@ def _member_constants(spec: KernelSpec) -> tuple:
         c = 2.0 ** (1.0 - spec.nu) / (
             2.0 * math.pi * alpha ** (1.0 + spec.nu) * gamma(spec.nu)
         )
-    return alpha, alpha**2, spec.peak(), c, c / alpha
+    return alpha, alpha**2, spec.peak(), c, c / alpha, -alpha
 
 
-def _constants(specs) -> tuple:
+def _constants(specs, sigma2s) -> tuple:
     """The :func:`_member_constants` of a stack of kernels that share
-    family, nu and normalization (only alpha may differ).
+    family, nu and normalization (only alpha may differ), followed by
+    the members' ``sigma2s``, the particle system's one other constant.
 
     Each constant is one float where every member shares it, and else a
     (B, 1, 1) array of the members' values, which broadcasts over
@@ -130,7 +131,7 @@ def _constants(specs) -> tuple:
     """
     return tuple(
         col[0] if all(v == col[0] for v in col) else np.array(col)[:, None, None]
-        for col in zip(*(_member_constants(s) for s in specs))
+        for col in (*zip(*(_member_constants(s) for s in specs)), sigma2s)
     )
 
 
@@ -146,16 +147,16 @@ def _kernel_terms(
     """G(r) and dG/dr over an array of radii r >= 0, from one evaluation of
     the family's exp (or of each Bessel order).
 
-    ``k`` holds the kernel constants: ``spec``'s own by default, or a
-    :func:`_constants` stack for a (B, rows, N) batch of radii, whose
-    members then differ in alpha only.  G is exact at r = 0.  dG/dr
-    there is finite but meaningless (the conical kernel's derivative
-    jumps at the origin), so callers mask it.  The slope is returned as
+    ``k`` holds the kernel constants: ``spec``'s own by default, or the
+    kernel part of a :func:`_constants` stack for a (B, rows, N) batch
+    of radii, whose members then differ in alpha only.  G is exact at
+    r = 0.  dG/dr there is finite but meaningless (the conical kernel's
+    derivative jumps at the origin), so callers mask it.  The slope is returned as
     dG/dr, not dG/dr / r: the particle system weights it by the momentum
     product before dividing by r, and dividing first would round every
     conical rhs, and so every match, differently.
     """
-    alpha, alpha2, peak, c, c_alpha = _member_constants(spec) if k is None else k
+    alpha, alpha2, peak, c, c_alpha, neg_alpha = _member_constants(spec) if k is None else k
     if spec.family is KernelFamily.BESSEL:
         from scipy.special import kv
 
@@ -182,9 +183,9 @@ def _kernel_terms(
     if spec.family is KernelFamily.CONICAL:
         # In place: at N = 1024 every (N, N) temporary is 8 MB of peak memory.
         # x / -alpha is -(x / alpha) bit for bit, one pass fewer.
-        value = np.divide(r, -alpha)
+        value = np.divide(r, neg_alpha)
         np.exp(value, out=value)
-        slope = np.divide(value, -alpha)
+        slope = np.divide(value, neg_alpha)
     else:
         value = np.exp(-0.5 * (r / alpha) ** 2)
         slope = -(r / alpha2) * value

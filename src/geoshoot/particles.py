@@ -20,8 +20,8 @@ the unvalidated ``_rhs``, which the RK4 loop of
 :mod:`geoshoot.integrator` calls directly on every stage.  ``_rhs``
 works on the state y = (q, p) of a (B, N, 2) stack of systems, held as
 one C-ordered (2, B, N, 2) array (:func:`_stack`), whose members may
-differ in kernel width, so that many independent shoots advance in
-lockstep; each member's arithmetic is the same as alone.  Every kernel
+differ in kernel width and sigma2, so that many independent shoots advance
+in lockstep; each member's arithmetic is the same as alone.  Every kernel
 sum here runs in the row blocks of
 :func:`geoshoot.kernels.pairwise_blocks`, so no full (N, N) matrix is
 held.  ``_rhs`` takes the particles against themselves in upper blocks,
@@ -108,15 +108,15 @@ def _stack(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return y
 
 
-def _rhs(spec: SystemSpec, y: np.ndarray, k: tuple):
+def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     """(d, clashes) on a raw (2, B, N, 2) state, with no input validation.
 
     y = (q, p) holds a (B, N, 2) stack of systems in the C order of
     :func:`_stack`, and d = (dq, dp) comes back in the same layout.
-    Member b runs the system with ``spec``'s sigma2 and kernel family
-    and with member b of the kernel constants ``k`` (a
+    Member b runs with the family, nu and normalization of ``kernel``
+    and with member b of the constants ``k`` (a
     :func:`~geoshoot.kernels._constants` stack), so the members of one
-    stack may differ in alpha.  With K[i,j] = G(d_ij) and
+    stack may differ in alpha and in sigma2.  With K[i,j] = G(d_ij) and
     A[i,j] = (p_i.p_j) G'(d_ij) / d_ij off the diagonal (zero on it),
     dq = K p and dp_i = -sum_j A[i,j] (q_i - q_j).  Coincident pairs are
     tolerated only when their momentum product vanishes, in which case
@@ -133,9 +133,11 @@ def _rhs(spec: SystemSpec, y: np.ndarray, k: tuple):
     s:e their terms from columns s:N, and its columns e:N, transposed,
     give rows e:N their terms from columns s:e.  The first block writes
     its rows in place and later ones add to them, so a one-block system
-    (N <= 181) rounds exactly as a plain N x N build.
+    (N <= 181) rounds exactly as a plain N x N build.  A member with
+    sigma2 = 0 gets no sigma2 p term at all, so it rounds as alone.
     """
     q, p = y
+    k, sigma2 = k[:-1], k[-1]
     n = q.shape[1]
     d = np.empty_like(y)
     dq, dp = d
@@ -153,7 +155,7 @@ def _rhs(spec: SystemSpec, y: np.ndarray, k: tuple):
             qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
             qe = qc[:, s:e]
             dist = pairwise_distances(qe, qs)
-            kmat, a = _kernel_terms(spec.kernel, dist, kc)
+            kmat, a = _kernel_terms(kernel, dist, kc)
             pdot = pc[:, s:e] @ ps.transpose(0, 2, 1)
             # dist is exactly 0 on the block's diagonal; any other 0 is a
             # coincident pair.  The test counts nonzeros rather than taking
@@ -196,8 +198,11 @@ def _rhs(spec: SystemSpec, y: np.ndarray, k: tuple):
             else:
                 dqc[:, e:] += kt @ pc[:, s:e]
                 dpc[:, e:] += at @ qe - col_sums * qc[:, e:]
-    if spec.sigma2 != 0.0:
-        dq += spec.sigma2 * p
+    # A shared sigma2 is a float, tested without a numpy call.
+    if isinstance(sigma2, np.ndarray):
+        np.add(dq, sigma2 * p, out=dq, where=sigma2 != 0.0)
+    elif sigma2 != 0.0:
+        dq += sigma2 * p
     return d, clashes
 
 
@@ -207,9 +212,8 @@ def rhs(spec: SystemSpec, state: ParticleState) -> tuple[np.ndarray, np.ndarray]
     The result does not depend on the memory layout of ``state.q`` and
     ``state.p``: they are copied into one C-ordered state first.
     """
-    d, clashes = _rhs(
-        spec, _stack(state.q[None], state.p[None]), _constants([spec.kernel])
-    )
+    k = _constants([spec.kernel], [spec.sigma2])
+    d, clashes = _rhs(spec.kernel, _stack(state.q[None], state.p[None]), k)
     if clashes:
         raise clashes[0]
     return d[0, 0], d[1, 0]

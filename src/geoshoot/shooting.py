@@ -181,17 +181,20 @@ def momenta_from_velocity(kernel: KernelSpec, q0, u0) -> np.ndarray:
     return _GramSolver(kernel, q0).solve(u0)
 
 
-def _shoot(cfg: ShootingConfig, q0: np.ndarray, ps: list, kernels: list):
-    """Endpoints at t_final of the geodesics from ``q0`` with initial
-    momenta ``ps[b]`` under kernel ``kernels[b]``, shot in lockstep.
+def _shoot(cells: list, ps: list):
+    """Endpoints at t_final of the geodesics of ``cells``, cell b from its
+    q0 with initial momenta ``ps[b]`` under its own kernel width and
+    sigma2, shot in lockstep.
 
     Returns the (B, N, 2) endpoints and the failures of
     :func:`~geoshoot.integrator._evolve_stack`, by member; a failed
     member's endpoint is meaningless.
     """
-    q = np.repeat(q0[None], len(ps), axis=0)
+    systems = [cell.cfg.system for cell in cells]
+    k = _constants([s.kernel for s in systems], [s.sigma2 for s in systems])
+    q = np.stack([cell.q0 for cell in cells])
     end, _, failures, _ = _evolve_stack(
-        cfg.system, _constants(kernels), q, np.stack(ps), cfg.evolve
+        systems[0].kernel, k, q, np.stack(ps), cells[0].cfg.evolve
     )
     return end, failures
 
@@ -221,22 +224,25 @@ def _newton_direction(
 
 
 class _Cell:
-    """One match of the lockstep driver: its config, Gram factor (None in
-    momentum space), iterate and stopping state.
+    """One match of the lockstep driver: its templates, config, Gram factor
+    (None in momentum space), iterate and stopping state.
 
     It starts at x = p = 0, whose geodesic does not move (dq = K 0 = 0),
-    so its endpoint is q0 without a shoot.
+    so its endpoint is q0 without a shoot.  It stops on |r| when its
+    system is exact (sigma2 = 0) and on h * |r| otherwise.
     """
 
-    def __init__(self, index: int, cfg: ShootingConfig, solver, q0, goal):
+    def __init__(self, index: int, reference, target, cfg: ShootingConfig, solver):
         self.index = index
         self.cfg = cfg
         self.solver = solver
-        self.q0 = q0
-        self.x = np.zeros(q0.shape)
-        self.p = np.zeros(q0.shape)
-        self.endpoint = q0
-        self.residual = goal - q0
+        self.q0 = reference.points
+        self.goal = target.points
+        self.label = f"{reference.label}>{target.label}"
+        self.exact = cfg.system.sigma2 == 0
+        self.x = self.p = np.zeros(self.q0.shape)
+        self.endpoint = self.q0
+        self.residual = self.goal - self.q0
         self.initial = self.value = None
         self.history = []
 
@@ -246,18 +252,16 @@ class _Cell:
     def probe(self, x: np.ndarray) -> np.ndarray:
         """Endpoint of this cell's shoot from iterate ``x`` alone; raises
         the error that ends a failed shoot."""
-        kernel = self.cfg.system.kernel
-        ends, failures = _shoot(self.cfg, self.q0, [self.momenta(x)], [kernel])
+        ends, failures = _shoot([self], [self.momenta(x)])
         if failures:
             raise failures[0]
         return ends[0]
 
 
-def _drive(
-    reference: LandmarkTemplate, target: LandmarkTemplate, cfgs: list, newton: bool
-) -> list:
+def _drive(problems: list, newton: bool) -> list:
     """The shooting iteration behind :func:`match`, :func:`newton_match`
-    and the analysis sweeps: one match per config in ``cfgs``, in lockstep.
+    and every multi-match analysis: one match per (reference, target,
+    config) problem in ``problems``, in lockstep.
 
     Every cell's iterate x is the initial velocity u (velocity update
     space: its Gram solve maps it to momenta) or the momenta p
@@ -267,30 +271,32 @@ def _drive(
     probes are shot one at a time).  The stopping norm is |r| for an
     exact system and h * |r| for an inexact one (sigma2 > 0); the latter
     is the iterate's move only under the feedback update, so Newton
-    takes only exact systems.
+    takes only exact systems.  Unequal landmark counts, or Newton on an
+    inexact system, raise ConfigurationError for the first such problem
+    before anything runs.
 
     Each round updates every live cell and shoots them all at once
-    through one :func:`~geoshoot.integrator._evolve_stack` call.  The
-    configs share the evolution grid and the system but for the
-    kernel's alpha, so each cell has its own h, kernel, Gram factor (one
-    per kernel) and stopping state, and a cell's arithmetic is the same
-    as alone.  A cell leaves the stack once it converges, hits its
-    ``max_iter``, blows up, goes non-finite or degenerates; the others
-    are not affected.  Returns, per config, its MatchResult, or the
+    through one :func:`~geoshoot.integrator._evolve_stack` call, so the
+    problems must share N, the evolution grid and the kernel's family,
+    nu and normalization; each cell has its own templates, h, kernel
+    width, sigma2, Gram factor (one per kernel and reference) and
+    stopping state, and a cell's arithmetic is the same as alone.  A
+    cell leaves the stack once it converges, hits its ``max_iter``,
+    blows up, goes non-finite or degenerates; the others are not
+    affected.  Returns, per problem, its MatchResult, or the
     DivergenceError or DegenerateConfigurationError that ended it
     outside its shoots (e.g. a Gram matrix that is not positive
     definite).
     """
-    if reference.n != target.n:
-        raise ConfigurationError(
-            f"templates must have equal landmark counts: "
-            f"{reference.n} (reference) vs {target.n} (target)"
-        )
-    if newton and any(cfg.system.sigma2 > 0 for cfg in cfgs):
-        raise ConfigurationError("newton_match supports only exact systems (sigma2 = 0)")
-    q0, goal = reference.points, target.points
-    residual_rule = cfgs[0].system.sigma2 == 0
-    results = [None] * len(cfgs)
+    for reference, target, cfg in problems:
+        if reference.n != target.n:
+            raise ConfigurationError(
+                f"templates must have equal landmark counts: "
+                f"{reference.n} (reference) vs {target.n} (target)"
+            )
+        if newton and cfg.system.sigma2 > 0:
+            raise ConfigurationError("newton_match supports only exact systems (sigma2 = 0)")
+    results = [None] * len(problems)
 
     def finish(cell: _Cell, converged: bool, diagnosis: str | None = None) -> None:
         cfg = cell.cfg
@@ -300,10 +306,8 @@ def _drive(
                 iterations=len(cell.history),
                 converged=converged,
                 residual_history=tuple(cell.history),
-                hamiltonian=hamiltonian(cfg.system, ParticleState(q0, cell.p)),
-                final_template=LandmarkTemplate(
-                    cell.endpoint, f"{reference.label}>{target.label}"
-                ),
+                hamiltonian=hamiltonian(cfg.system, ParticleState(cell.q0, cell.p)),
+                final_template=LandmarkTemplate(cell.endpoint, cell.label),
                 final_residual=_norm(cfg.norm, cell.residual),
                 diagnosis=diagnosis,
                 warnings=() if cell.solver is None else cell.solver.warnings(),
@@ -311,26 +315,26 @@ def _drive(
         except DegenerateConfigurationError as exc:
             results[cell.index] = exc
 
-    # One Gram factor per kernel, or the error its factorization raised:
-    # a matrix that has no Cholesky factor is tried once, not per cell.
+    # One Gram factor per kernel and reference, or the error its
+    # factorization raised: a matrix with no Cholesky factor is tried once.
     solvers = {}
     live = []
-    for i, cfg in enumerate(cfgs):
-        kernel = cfg.system.kernel
+    for i, (reference, target, cfg) in enumerate(problems):
         solver = None
         if cfg.update_space is UpdateSpace.VELOCITY:
-            if kernel not in solvers:
+            key = (cfg.system.kernel, reference.points.tobytes())
+            if key not in solvers:
                 try:
-                    solvers[kernel] = _GramSolver(kernel, q0)
+                    solvers[key] = _GramSolver(cfg.system.kernel, reference.points)
                 except DegenerateConfigurationError as exc:
-                    solvers[kernel] = exc
-            solver = solvers[kernel]
+                    solvers[key] = exc
+            solver = solvers[key]
             if isinstance(solver, DegenerateConfigurationError):
                 results[i] = solver
                 continue
-        cell = _Cell(i, cfg, solver, q0, goal)
+        cell = _Cell(i, reference, target, cfg, solver)
         cell.initial = _norm(cfg.norm, cell.residual)
-        if not residual_rule:
+        if not cell.exact:
             cell.initial *= cfg.h
         if cell.initial < cfg.epsilon:
             finish(cell, True)
@@ -340,7 +344,7 @@ def _drive(
     while live:
         for cell in live:
             cfg = cell.cfg
-            if not residual_rule:
+            if not cell.exact:
                 cell.value = cfg.h * _norm(cfg.norm, cell.residual)
             if newton:
                 step = _newton_direction(
@@ -350,9 +354,7 @@ def _drive(
             else:
                 cell.x = cell.x + cfg.h * cell.residual
             cell.p = cell.momenta(cell.x)
-        ends, failures = _shoot(
-            cfgs[0], q0, [c.p for c in live], [c.cfg.system.kernel for c in live]
-        )
+        ends, failures = _shoot(live, [c.p for c in live])
         still = []
         for b, cell in enumerate(live):
             cfg = cell.cfg
@@ -361,8 +363,8 @@ def _drive(
                 finish(cell, False, f"step too large ({failures[b]})")
                 continue
             cell.endpoint = ends[b]
-            cell.residual = goal - cell.endpoint
-            if residual_rule:
+            cell.residual = cell.goal - cell.endpoint
+            if cell.exact:
                 cell.value = _norm(cfg.norm, cell.residual)
             value = cell.value
             cell.history.append(value)
@@ -380,12 +382,14 @@ def _drive(
     return results
 
 
-def _single(results: list) -> MatchResult:
-    """The one result of a one-cell drive, raising the error that ended it."""
-    (res,) = results
-    if isinstance(res, Exception):
-        raise res
-    return res
+def _solve(problems: list, newton: bool = False) -> list:
+    """The MatchResults of one :func:`_drive` over ``problems``, in
+    order; raises the error that ended the first failed problem."""
+    results = _drive(problems, newton)
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
 
 
 def match(
@@ -404,7 +408,7 @@ def match(
     "step too large" rather than an exception; hitting max_iter just
     reports converged = False.
     """
-    return _single(_drive(reference, target, [cfg], newton=False))
+    return _solve([(reference, target, cfg)])[0]
 
 
 def contraction_diagnostics(result: MatchResult) -> list:
@@ -440,4 +444,4 @@ def newton_match(
     The iterate is the initial velocity, whatever ``cfg.update_space``.
     """
     velocity = replace(cfg, update_space=UpdateSpace.VELOCITY)
-    return _single(_drive(reference, target, [velocity], newton=True))
+    return _solve([(reference, target, velocity)], newton=True)[0]

@@ -8,6 +8,7 @@ import pytest
 from geoshoot import (
     DIVERGED,
     ConfigurationError,
+    DegenerateConfigurationError,
     DistanceRecord,
     DivergenceError,
     EvolveConfig,
@@ -31,7 +32,7 @@ from geoshoot import (
     shape_distance,
     triangle_inequality_audit,
 )
-from geoshoot import analysis, kernels, shooting
+from geoshoot import kernels, shooting
 
 REF = circle(1.0, n=8)
 TGT = ellipse_rot_shift(1.3, 0.9, 0.0, (0.1, 0.0), n=8)
@@ -277,54 +278,115 @@ def _grid_cfgs(alpha2_values, h_values, **kw):
     ]
 
 
+def _mixed_problems(pairs, h_values, **kw):
+    """Every pair x sigma2 in {0, 0.3} x h x update space, all with one
+    kernel (so each pair's Gram factor is its reference's own), then one
+    cell whose Gram matrix is singular: at alpha = 1e17 every conical
+    kernel entry rounds to 1."""
+    problems = [
+        (ref, tgt, ShootingConfig(
+            h=h, update_space=space, system=SystemSpec(sigma2=sigma2), **kw
+        ))
+        for ref, tgt in pairs
+        for sigma2 in (0.0, 0.3)
+        for h in h_values
+        for space in ("velocity", "momentum")
+    ]
+    ref, tgt = pairs[0]
+    return problems + [(ref, tgt, ShootingConfig(
+        h=0.5, system=SystemSpec(kernel=KernelSpec(alpha=1e17)), **kw
+    ))]
+
+
+def _outcome(res):
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    return (
+        res.p0.tobytes(), res.iterations, res.converged, res.residual_history,
+        res.hamiltonian, res.final_template.points.tobytes(),
+        res.final_template.label, res.final_residual, res.diagnosis, res.warnings,
+    )
+
+
 @pytest.mark.parametrize(
-    "ref, tgt, cfgs",
+    "problems",
     [
         # Converging, capped (h = 0.4 needs 12), blown-up and non-finite cells.
-        (REF, TGT, _grid_cfgs((0.5, 1.0), (0.4, 0.8, 6.0, 1e100), epsilon=1e-3, max_iter=10)),
+        [(REF, TGT, cfg) for cfg in _grid_cfgs(
+            (0.5, 1.0), (0.4, 0.8, 6.0, 1e100), epsilon=1e-3, max_iter=10
+        )],
         # Nine cells at N = 64 run as two member chunks of the stacked rhs.
-        (
-            circle(2.0, n=64),
-            heart4(64),
-            _grid_cfgs(
-                (0.3, 0.6, 1.0), (0.3, 0.6, 0.9),
-                epsilon=1e-2, max_iter=6, evolve=EvolveConfig(steps=10),
-            ),
+        [(circle(2.0, n=64), heart4(64), cfg) for cfg in _grid_cfgs(
+            (0.3, 0.6, 1.0), (0.3, 0.6, 0.9),
+            epsilon=1e-2, max_iter=6, evolve=EvolveConfig(steps=10),
+        )],
+        # Two template pairs, exact and inexact, both update spaces.
+        _mixed_problems(
+            [(REF, TGT), (heart4(8, label="h"), circle(1.5, n=8, label="c"))],
+            (0.4, 0.8, 6.0, 1e100), epsilon=1e-3, max_iter=10,
+        ),
+        _mixed_problems(
+            [(circle(2.0, n=64), heart4(64)), (heart4(64), circle(2.5, n=64))],
+            (0.3, 0.9), epsilon=1e-2, max_iter=6, evolve=EvolveConfig(steps=10),
         ),
     ],
-    ids=["mixed", "n64"],
+    ids=["mixed", "n64", "problems-n8", "problems-n64"],
 )
-def test_lockstep_cells_equal_lone_matches(ref, tgt, cfgs):
-    results = shooting._drive(ref, tgt, cfgs, newton=False)
+def test_lockstep_cells_equal_lone_matches(problems):
+    results = shooting._drive(problems, newton=False)
+    assert len(results) == len(problems)
     outcomes = set()
-    assert len(results) == len(cfgs)
-    for cfg, res in zip(cfgs, results):
-        alone = match(ref, tgt, cfg)
-        assert res.iterations == alone.iterations
-        assert res.converged == alone.converged
-        assert res.diagnosis == alone.diagnosis
-        assert res.hamiltonian == alone.hamiltonian
-        assert res.p0.tobytes() == alone.p0.tobytes()
-        outcomes.add((res.diagnosis or "converged").split(" (")[0])
-    if ref is REF:
-        assert outcomes == {
+    for (ref, tgt, cfg), res in zip(problems, results):
+        try:
+            alone = match(ref, tgt, cfg)
+        except DegenerateConfigurationError as exc:
+            alone = exc
+        assert _outcome(res) == _outcome(alone)
+        if isinstance(res, Exception):
+            outcomes.add(type(res).__name__)
+        else:
+            outcomes.add((res.diagnosis or "converged").split(" (")[0])
+    singular = any(cfg.system.kernel.alpha == 1e17 for _, _, cfg in problems)
+    assert ("DegenerateConfigurationError" in outcomes) == singular
+    if problems[0][0].n == 64:
+        assert kernels._block_members(64) < len(problems)
+    else:
+        assert outcomes - {"DegenerateConfigurationError"} == {
             "converged",
             "iteration cap reached before the stopping rule",
             "step too large",
         }
-        assert any("non-finite" in (res.diagnosis or "") for res in results)
-    else:
-        assert kernels._block_members(64) < len(cfgs)
+        assert any("non-finite" in (res.diagnosis or "") for res in results
+                   if not isinstance(res, Exception))
 
 
 def test_requested_exact_row_reuses_the_exact_run(monkeypatch):
-    calls = []
+    """Rows with equal configs share one match: the problems that reach
+    the driver are the distinct (sigma2, h) rows."""
+    drives = []
 
-    def counted(*args):
-        calls.append(args)
-        return match(*args)
+    def counted(problems, newton):
+        drives.append(len(problems))
+        return drive(problems, newton)
 
-    monkeypatch.setattr(analysis, "match", counted)
+    drive = shooting._drive
+    monkeypatch.setattr(shooting, "_drive", counted)
     exact, zero, _ = exact_vs_inexact(REF, TGT, [0.0, 0.3], CFG, h_by_sigma2={0.3: 0.4})
-    assert len(calls) == 2
+    assert drives == [2]
     assert zero == exact
+    rows = exact_vs_inexact(REF, TGT, [0.3, 0.3], CFG, h_by_sigma2={0.3: 0.4})
+    assert drives == [2, 2]
+    assert rows[1] == rows[2] and rows[1].sigma2 == 0.3
+
+
+def test_cluster_errors_name_the_first_bad_match():
+    refs = [circle(3.0, n=9, label="nine"), heart4(n=8)]
+    with pytest.raises(ConfigurationError, match=r"9 \(reference\) vs 8 \(target\)"):
+        cluster_test(REF, TGT, refs, {"pair": 1, "ref_diff": 1}, CFG)
+    # A wide gaussian kernel over 32 landmarks has no Cholesky factor.
+    wide = ShootingConfig(h=0.4, system=SystemSpec(kernel=KernelSpec(family="gaussian", alpha=5.0)))
+    with pytest.raises(DegenerateConfigurationError, match="not positive definite"):
+        cluster_test(
+            circle(2.0, n=32), heart4(32), [circle(3.0, n=32), heart4(32, label="h")],
+            {"pair": 1, "ref_diff": 1}, wide,
+        )

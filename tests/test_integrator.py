@@ -161,7 +161,7 @@ def test_stack_failures_leave_the_other_members_unchanged():
     specs = [KernelSpec(alpha=a) for a in (0.7, 1.0, 1.2, 1.6)]
     config = EvolveConfig(steps=8)
     end_q, end_p, failures, _ = integrator._evolve_stack(
-        SystemSpec(kernel=specs[0]), kernels._constants(specs), q, p, config
+        specs[0], kernels._constants(specs, [0.0] * 4), q, p, config
     )
     assert sorted(failures) == [1, 2]
     for b, spec in enumerate(specs):
@@ -205,9 +205,8 @@ def test_fused_loop_equals_a_two_array_rk4(n):
     for family in KernelFamily:
         specs = [KernelSpec(family=family, nu=2.5, alpha=a) for a in (0.6, 1.0, 1.7)]
         for sigma2 in (0.0, 0.3):
-            system = SystemSpec(kernel=specs[0], sigma2=sigma2)
             end_q, end_p, failures, frames = integrator._evolve_stack(
-                system, kernels._constants(specs), q, p, config
+                specs[0], kernels._constants(specs, [sigma2] * 3), q, p, config
             )
             assert failures == {}
             for b, spec in enumerate(specs):
@@ -232,7 +231,7 @@ def test_a_non_finite_member_does_not_hide_a_clash():
     specs = [KernelSpec(alpha=a) for a in (0.6, 1.0, 1.7)]
     config = EvolveConfig(steps=8)
     _, _, failures, _ = integrator._evolve_stack(
-        SystemSpec(kernel=specs[0]), kernels._constants(specs), q, p, config
+        specs[0], kernels._constants(specs, [0.0] * 3), q, p, config
     )
     assert sorted(failures) == [0, 1]
     assert isinstance(failures[0], DivergenceError)

@@ -434,6 +434,31 @@ def test_stacked_rhs_equals_each_member_alone_across_upper_blocks():
                 assert np.array_equal(dq[b], alone[0]) and np.array_equal(dp[b], alone[1])
 
 
+@pytest.mark.parametrize("n", [16, 200])
+def test_stacked_rhs_with_mixed_sigma2_equals_each_member_alone(n):
+    """Members differ in sigma2 as well as in alpha: those with sigma2 = 0
+    get no sigma2 p term at all, and every member is bit-equal to a lone
+    call (at N = 200 across two upper blocks)."""
+    rng = np.random.default_rng(n)
+    q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(4, n, 2))
+    p = rng.normal(size=(4, n, 2))
+    sigma2s = [0.0, 0.3, 0.0, 1.0]
+    for family in KernelFamily:
+        specs = [KernelSpec(family=family, nu=2.5, alpha=a) for a in (0.6, 1.0, 1.3, 1.7)]
+        dq, dp, clashes = _stacked_rhs(specs, sigma2s, q, p)
+        assert clashes == {}
+        for b, (spec, sigma2) in enumerate(zip(specs, sigma2s)):
+            alone = rhs(SystemSpec(kernel=spec, sigma2=sigma2), ParticleState(q[b], p[b]))
+            assert np.array_equal(dq[b], alone[0]) and np.array_equal(dp[b], alone[1])
+    # A diverged member stays in its stack; with sigma2 = 0 its inf
+    # momentum must not meet a 0 * inf = NaN sigma2 term.
+    p[2, 0, 0] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        dq, _, _ = _stacked_rhs(specs, sigma2s, q, p)
+        alone, _, _ = _stacked_rhs(specs[2:3], 0.0, q[2:3], p[2:3])
+    assert dq[2].tobytes() == alone[0].tobytes()
+
+
 @pytest.mark.parametrize("rows", [1, 2])
 def test_coincident_pair_across_upper_blocks_keeps_global_indices(rows):
     """Points 2 and 5 coincide, and so do 4 and 6; in blocks of one or two
@@ -542,9 +567,11 @@ def _budget(budget, n):
 
 
 def _stacked_rhs(specs, sigma2, q, p):
-    system = SystemSpec(kernel=specs[0], sigma2=sigma2)
+    """One stacked _rhs call; ``sigma2`` is one value for every member or
+    a list of one per member."""
+    sigma2s = sigma2 if isinstance(sigma2, list) else [sigma2] * len(specs)
     d, clashes = particles._rhs(
-        system, particles._stack(q, p), kernels._constants(specs)
+        specs[0], particles._stack(q, p), kernels._constants(specs, sigma2s)
     )
     return d[0], d[1], clashes
 
