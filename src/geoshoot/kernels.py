@@ -74,7 +74,7 @@ class KernelSpec:
             if self.nu < 1.5:
                 warnings.warn(
                     f"nu={self.nu} in (1, 1.5): kernel has a cusp at r=0 and is used unmollified",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         # Extreme widths and orders overflow or vanish in the constants
         # every evaluation divides by or scales with.
@@ -349,7 +349,7 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
             )
         # d_ij == d_ji exactly, so the mirrored entries are the same bits.
         e = s + len(dist)
-        values = kernel_value(spec, dist)
+        values = _kernel_terms(spec, dist)[0]
         kmat[s:e, s:] = values
         kmat[e:, s:e] = values[:, e - s :].T
     return kmat

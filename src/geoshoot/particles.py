@@ -47,7 +47,6 @@ from .kernels import (
     _members,
     _upper_plan,
     as_points,
-    kernel_value,
     pairwise_blocks,
     pairwise_distances,
 )
@@ -249,7 +248,7 @@ def velocity_field(spec: SystemSpec, state: ParticleState, x) -> np.ndarray:
     pts = as_points(np.atleast_2d(x_arr), "x")
     u = np.empty_like(pts)
     for s, dist in pairwise_blocks(pts, state.q):
-        u[s : s + len(dist)] = kernel_value(spec.kernel, dist) @ state.p
+        u[s : s + len(dist)] = _kernel_terms(spec.kernel, dist)[0] @ state.p
     return u[0] if single else u
 
 

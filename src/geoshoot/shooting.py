@@ -18,6 +18,7 @@ but each one costs 2N extra shoots for the Jacobian.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -137,23 +138,41 @@ class _GramSolver:
     reused across all iterations of a match (the initial landmarks never
     move, so the factorization is constant).
 
+    K is factored once, in place.  :func:`~geoshoot.kernels.gram_matrix`
+    mirrors each entry's bits across the diagonal, so K is exactly
+    symmetric and ``k.T``, a Fortran-ordered view of the fresh C-ordered
+    matrix, is K itself: LAPACK factors it where it lies, with no copy.
+    K is finite by construction (finite points, kernel constants
+    validated by :class:`~geoshoot.kernels.KernelSpec`), so neither the
+    factor nor the solve rescans it for NaN or inf.
+
     ``condition`` is LAPACK's estimate of the 1-norm condition number
     (``dpocon`` on the Cholesky factor), not an exact value: it costs
     O(N^2) next to the O(N^3) factorization, where an SVD would cost
-    several factorizations, and it only decides whether to warn.
+    several factorizations, and it only decides whether to warn.  It is
+    computed on first read, from K's 1-norm taken before the factor
+    overwrites K, so a solver that is never asked (as in
+    :func:`momenta_from_velocity`) never pays for it.
     """
 
     def __init__(self, kernel: KernelSpec, q0: np.ndarray):
         k = gram_matrix(kernel, q0)
-        norm1 = np.linalg.norm(k, 1)
+        # The largest column sum: every kernel value is >= 0, so this is
+        # np.linalg.norm(k, 1) bit for bit, without its abs temporary.
+        self._norm1 = np.add.reduce(k, axis=0).max()
         try:
-            self._factor = cho_factor(k, lower=True)
+            self._factor = cho_factor(
+                k.T, lower=True, overwrite_a=True, check_finite=False
+            )
         except np.linalg.LinAlgError as exc:
             raise DegenerateConfigurationError(
                 f"kernel Gram matrix is not positive definite: {exc}"
             ) from exc
-        rcond, _ = dpocon(self._factor[0], norm1, uplo="L")
-        self.condition = 1.0 / rcond if rcond > 0 else math.inf
+
+    @functools.cached_property
+    def condition(self) -> float:
+        rcond, _ = dpocon(self._factor[0], self._norm1, uplo="L")
+        return 1.0 / rcond if rcond > 0 else math.inf
 
     def warnings(self) -> tuple:
         if self.condition < _ILL_CONDITIONED:
@@ -166,15 +185,19 @@ class _GramSolver:
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         # (K (x) I2) p = u decouples into one solve per coordinate.
-        return cho_solve(self._factor, u)
+        return cho_solve(self._factor, u, check_finite=False)
 
 
 def momenta_from_velocity(kernel: KernelSpec, q0, u0) -> np.ndarray:
     """Invert the kernel reconstruction u_i = sum_j G(|q_i - q_j|) p_j.
 
     Solves (K (x) I2) p = u via a Cholesky factorization of the Gram
-    matrix K over q0; the round-trip residual is at the level of the
-    factorization error (<= 1e-10 for the shapes used here).
+    matrix K over q0, factored in place and solved without a finiteness
+    scan (see :class:`_GramSolver`); the caller's q0 and u0 are left
+    unchanged, and no condition estimate is computed.  The round-trip
+    residual is at the level of the factorization error (<= 1e-10 for
+    the shapes used here).  A Gram matrix that is not positive definite
+    raises DegenerateConfigurationError.
     """
     q0 = as_points(q0, "q0")
     u0 = as_points(u0, "u0", n=len(q0))

@@ -195,8 +195,11 @@ def test_spec_validation():
 
 
 def test_low_order_bessel_warns_but_evaluates():
-    with pytest.warns(UserWarning, match="cusp"):
+    with pytest.warns(UserWarning, match="cusp") as caught:
         spec = KernelSpec(family="bessel", nu=1.2)
+    # The warning names the line that built the spec, not the dataclass
+    # __init__ that calls __post_init__.
+    assert caught[0].filename == __file__
     assert 0.0 < kernel_value(spec, 0.5) < 1.0
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 from geoshoot import (
     ConfigurationError,
@@ -89,10 +91,15 @@ def test_each_iteration_shoots_once_plus_its_jacobian(solve, per_iteration, shoo
     assert shoots[0] == result.iterations * per_iteration
 
 
-@pytest.mark.parametrize("solve", [match, newton_match])
+def _momenta_toward(reference, target, cfg):
+    return momenta_from_velocity(cfg.system.kernel, reference.points, target.points)
+
+
+@pytest.mark.parametrize("solve", [match, newton_match, _momenta_toward])
 def test_gram_that_is_not_positive_definite_raises(solve):
     # A wide gaussian kernel over 32 landmarks has a numerically singular
-    # Gram matrix: no cell can start, and the run ends in its error.
+    # Gram matrix: no cell can start, and the run ends in its error; a
+    # bare momenta recovery raises the same error.
     cfg = ShootingConfig(
         h=0.4, system=SystemSpec(kernel=KernelSpec(family="gaussian", alpha=5.0))
     )
@@ -319,3 +326,71 @@ def test_momenta_from_velocity_validates_shapes():
     q0[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         momenta_from_velocity(KernelSpec(), q0, np.zeros((4, 2)))
+
+
+def _jittered_grid(n: int) -> np.ndarray:
+    """n points of a unit grid, each moved by a little noise: a set whose
+    Gram matrix is positive definite for every family at alpha = 1."""
+    side = math.ceil(math.sqrt(n))
+    grid = np.array([(i, j) for i in range(side) for j in range(side)], float)[:n]
+    return grid + 0.05 * np.random.default_rng(n).normal(size=grid.shape)
+
+
+@pytest.mark.parametrize("n", [6, 64, 300, 1024])
+@pytest.mark.parametrize("family", list(KernelFamily))
+def test_gram_solver_equals_the_copied_factor_and_solve(family, n):
+    """The in-place factor of K.T, solved without a finiteness scan,
+    gives the bits of a plain factor of a copy of K; the lazy condition
+    estimate is the eager one from K's 1-norm."""
+    spec = KernelSpec(family=family, nu=2.5)
+    q = _jittered_grid(n)
+    u = np.random.default_rng(n + 1).normal(size=(n, 2))
+    k = gram_matrix(spec, q)
+    factor = cho_factor(k, lower=True)
+    solver = _GramSolver(spec, q)
+    assert np.array_equal(solver.solve(u), cho_solve(factor, u))
+    norm1 = np.linalg.norm(k, 1)
+    assert solver._norm1 == norm1
+    # dpocon's last bit depends on the alignment of the workspace it
+    # allocates, so two calls on one factor may differ by an ulp.
+    rcond, info = dpocon(factor[0], norm1, uplo="L")
+    assert info == 0
+    assert solver.condition == pytest.approx(1.0 / rcond, rel=1e-13)
+
+
+@pytest.fixture()
+def condition_estimates(monkeypatch):
+    """A one-item list counting the dpocon calls of the shooting module."""
+    count = [0]
+    estimate = shooting.dpocon
+
+    def counted_dpocon(*args, **kwargs):
+        count[0] += 1
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "dpocon", counted_dpocon)
+    return count
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_momenta_recovery_estimates_no_condition_and_keeps_its_inputs(
+    order, condition_estimates
+):
+    q0 = heart4(n=16).points
+    u0 = np.asarray(np.random.default_rng(3).normal(size=(16, 2)), order=order)
+    q_before, u_before = q0.copy(), u0.copy()
+    momenta_from_velocity(KernelSpec(), q0, u0)
+    assert condition_estimates[0] == 0
+    assert np.array_equal(q0, q_before) and np.array_equal(u0, u_before)
+
+
+def test_converged_match_estimates_the_condition_once_per_solver(condition_estimates):
+    assert match(REF, TGT, quick_cfg()).converged
+    assert condition_estimates[0] == 1
+    # Two widths over one reference make two solvers, each shared by the
+    # cells of its width and read once.
+    condition_estimates[0] = 0
+    wide = quick_cfg(system=SystemSpec(kernel=KernelSpec(alpha=1.5)))
+    problems = [(REF, TGT, quick_cfg(h=h)) for h in (0.5, 1.0)] + [(REF, TGT, wide)] * 2
+    assert all(res.converged for res in shooting._solve(problems))
+    assert condition_estimates[0] == 2
