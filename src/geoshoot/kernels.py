@@ -168,13 +168,17 @@ def _kernel_terms(
         rp = r[pos]
         at = lambda v: np.broadcast_to(v, r.shape)[pos]  # noqa: E731
         z = rp / at(alpha)
-        r_mu = rp**mu
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = at(c) * r_mu * kv(mu, z)
+            k0, k1 = kv(mu, z), kv(mu - 1.0, z)
+            r_mu = rp**mu
+            vals = at(c) * r_mu * k0
+            slopes = -at(c_alpha) * r_mu * k1
         # kv overflows for extremely small arguments at large order; the
-        # product is finite there and indistinguishable from the peak
-        value[pos] = np.where(np.isfinite(vals), vals, at(peak))
-        slope[pos] = -at(c_alpha) * r_mu * kv(mu - 1.0, z)
+        # product is finite there and indistinguishable from the peak.  At
+        # decayed radii kv underflows to 0 while r**mu may overflow, and
+        # G and dG/dr are 0.
+        value[pos] = np.where(k0 == 0.0, 0.0, np.where(np.isfinite(vals), vals, at(peak)))
+        slope[pos] = np.where(k1 == 0.0, 0.0, slopes)
         if spec.normalized:
             value /= peak
             slope /= peak
@@ -224,40 +228,39 @@ def kernel_derivative(spec: KernelSpec, r):
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _block_rows(n: int) -> int:
-    """Rows per block of a pairwise matrix with n columns: at most
-    ``_BLOCK_ENTRIES`` entries, and one row at the least."""
-    return max(1, _BLOCK_ENTRIES // n)
-
-
-def _block_members(n: int) -> int:
-    """Members of a batch of n-point sets per block: a block of
-    ``members x rows x n`` entries stays within ``_BLOCK_ENTRIES``, with
-    rows per block still a function of n alone, so that each member's
+def _plan(m: int, n: int) -> tuple:
+    """The block plan of a pass over m rows against n columns, computed
+    once per (m, n) and ``_BLOCK_ENTRIES``: its row spans (s, e), of
+    ``_BLOCK_ENTRIES // n`` rows (one at the least), and the members per
+    chunk of a batch of such passes.  A chunk's blocks stay within the
+    budget while rows per block depend on n alone, so that each member's
     arithmetic is the same as alone."""
-    return max(1, _BLOCK_ENTRIES // (min(_block_rows(n), n) * n))
-
-
-def _block_spans(m: int, n: int) -> tuple:
-    """Row spans (s, e) of a pairwise pass over m rows against n columns,
-    :func:`_block_rows` (n) rows each: the one definition of the block
-    boundaries."""
-    rows = _block_rows(n)
-    return tuple((s, min(s + rows, m)) for s in range(0, m, rows))
-
-
-def _upper_plan(n: int) -> tuple:
-    """The block plan of an n-point set against itself: its upper spans
-    (:func:`_block_spans` (n, n)) and the members per chunk
-    (:func:`_block_members`), under the current ``_BLOCK_ENTRIES``."""
-    return _cached_plan(n, _BLOCK_ENTRIES)
+    return _cached_plan(m, n, _BLOCK_ENTRIES)
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_plan(n: int, entries: int) -> tuple:
-    # ``entries`` keys the cache only: the helpers read _BLOCK_ENTRIES,
-    # which equals it while the plan is built.
-    return _block_spans(n, n), _block_members(n)
+def _cached_plan(m: int, n: int, entries: int) -> tuple:
+    rows = max(1, entries // n)
+    spans = tuple((s, min(s + rows, m)) for s in range(0, m, rows))
+    return spans, max(1, entries // (min(rows, m) * n))
+
+
+def _coincident(dist: np.ndarray, weights: np.ndarray | None = None):
+    """The mask of the coincident pairs in an upper block of distances of
+    a finite point set against itself (rows s:e against columns s:N), or
+    a stack of them, or None.
+
+    Each row's own point, local column i of row i, is its one expected
+    zero: it is set to 1.0 in place, and to 0.0 in ``weights``, a block
+    of pair weights that must skip it.  Any zero left is a coincident
+    pair.  The test counts nonzeros rather than taking a minimum, which a
+    NaN in another member would poison.
+    """
+    size, step = dist.shape[-2] * dist.shape[-1], dist.shape[-1] + 1
+    dist.reshape(-1, size)[:, ::step] = 1.0
+    if weights is not None:
+        weights.reshape(-1, size)[:, ::step] = 0.0
+    return None if np.count_nonzero(dist) == dist.size else dist == 0.0
 
 
 def as_points(points, name: str = "points", n: int | None = None) -> np.ndarray:
@@ -294,44 +297,6 @@ def pairwise_distances(points, others=None) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def pairwise_blocks(x: np.ndarray, q: np.ndarray | None = None):
-    """The package's one pairwise pass, in row blocks of :func:`_block_rows`.
-
-    Against other points ``q`` it yields (s, dist) with
-    dist[i, j] = |x[s + i] - q[j]|: rows s:e against every column.  A
-    point set against itself (``q`` omitted) is symmetric, so it yields
-    only upper row blocks, rows s:e against columns s:N, with
-    dist[i, j] = |x[s + i] - x[s + j]|; row i's own point sits at local
-    column i, and the block's columns e - s and up are the strictly
-    upper part that the caller mirrors into rows e:N.
-
-    A (B, M, 2) and (B, N, 2) batch gives (B, rows, ...) blocks, with the
-    same rows per block as one member alone.
-    """
-    upper = q is None
-    m = x.shape[-2]
-    for s, e in _block_spans(m, m if upper else q.shape[-2]):
-        yield s, pairwise_distances(x[..., s:e, :], x[..., s:, :] if upper else q)
-
-
-def coincident_pair(dist: np.ndarray, start: int = 0):
-    """First coincident pair (i, j), i < j, in an upper row block of
-    distances.
-
-    ``dist`` is a block of :func:`pairwise_blocks` over a finite point
-    set against itself: the distances from points start, start + 1, ...
-    to points start, ..., N - 1.  Each row's own point is its one
-    expected zero, at local column i; any other zero is a coincident
-    pair, returned in global indices.  None when there is none.
-    """
-    if np.count_nonzero(dist) >= dist.size - len(dist):
-        return None
-    zero = dist == 0.0
-    zero.reshape(-1)[:: dist.shape[1] + 1] = False
-    i, j = np.argwhere(zero)[0]
-    return start + i, start + j
-
-
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     """Kernel matrix K[i, j] = G(|x_i - x_j|) over a planar point set.
 
@@ -339,17 +304,18 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     matrix singular and are rejected.
     """
     pts = as_points(points)
-    kmat = np.empty((len(pts), len(pts)))
-    for s, dist in pairwise_blocks(pts):
-        pair = coincident_pair(dist, s)
-        if pair is not None:
-            raise DegenerateConfigurationError(
-                f"points {pair[0]} and {pair[1]} coincide; "
-                "Gram matrix would be singular"
-            )
+    n = len(pts)
+    kmat = np.empty((n, n))
+    for s, e in _plan(n, n)[0]:
+        dist = pairwise_distances(pts[s:e], pts[s:])
         # d_ij == d_ji exactly, so the mirrored entries are the same bits.
-        e = s + len(dist)
         values = _kernel_terms(spec, dist)[0]
+        zero = _coincident(dist)
+        if zero is not None:
+            i, j = np.argwhere(zero)[0]
+            raise DegenerateConfigurationError(
+                f"points {s + i} and {s + j} coincide; Gram matrix would be singular"
+            )
         kmat[s:e, s:] = values
         kmat[e:, s:e] = values[:, e - s :].T
     return kmat

@@ -22,12 +22,11 @@ works on the state y = (q, p) of a (B, N, 2) stack of systems, held as
 one C-ordered (2, B, N, 2) array (:func:`_stack`), whose members may
 differ in kernel width and sigma2, so that many independent shoots advance
 in lockstep; each member's arithmetic is the same as alone.  Every kernel
-sum here runs in the row blocks of
-:func:`geoshoot.kernels.pairwise_blocks`, so no full (N, N) matrix is
-held.  ``_rhs`` takes the particles against themselves in upper blocks,
-rows s:e against columns s:N, with the spans of the block plan
-:func:`geoshoot.kernels._upper_plan`, computed once per N and block
-budget rather than on every stage: K and A are symmetric, so each block's
+sum here runs in the row spans of the block plan
+:func:`geoshoot.kernels._plan`, computed once per shape and block budget
+rather than on every stage, so no full (N, N) matrix is held.  ``_rhs``
+takes the particles against themselves in upper blocks, rows s:e
+against columns s:N: K and A are symmetric, so each block's
 strictly upper part, transposed, also gives rows e:N their terms from
 rows s:e, and every pair's distance and kernel terms are computed once.
 """
@@ -42,12 +41,12 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .kernels import (
     KernelSpec,
+    _coincident,
     _constants,
     _kernel_terms,
     _members,
-    _upper_plan,
+    _plan,
     as_points,
-    pairwise_blocks,
     pairwise_distances,
 )
 
@@ -123,17 +122,16 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     interacting coincident pair to the error that pair raises, and that
     member's (dq, dp) is then meaningless.
 
-    The work follows the block plan of
-    :func:`~geoshoot.kernels._upper_plan`, the spans of
-    :func:`~geoshoot.kernels.pairwise_blocks` over the points against
-    themselves: members in chunks, and each chunk's K and A built one
-    upper block at a time, rows s:e against columns s:N, whose diagonal
-    is every member's flat strided slice [::N-s+1].  The block gives rows
-    s:e their terms from columns s:N, and its columns e:N, transposed,
-    give rows e:N their terms from columns s:e.  The first block writes
-    its rows in place and later ones add to them, so a one-block system
-    (N <= 181) rounds exactly as a plain N x N build.  A member with
-    sigma2 = 0 gets no sigma2 p term at all, so it rounds as alone.
+    The work follows the block plan :func:`~geoshoot.kernels._plan` (N, N):
+    members in chunks, and each chunk's K and A built one upper block at
+    a time, rows s:e against columns s:N, whose diagonal and coincident
+    pairs :func:`~geoshoot.kernels._coincident` sets apart.  The block
+    gives rows s:e their terms from columns s:N, and its columns e:N,
+    transposed, give rows e:N their terms from columns s:e.  The first
+    block writes its rows in place and later ones add to them, so a
+    one-block system (N <= 181) rounds exactly as a plain N x N build.  A
+    member with sigma2 = 0 gets no sigma2 p term at all, so it rounds as
+    alone.
     """
     q, p = y
     k, sigma2 = k[:-1], k[-1]
@@ -141,7 +139,7 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     d = np.empty_like(y)
     dq, dp = d
     clashes = {}
-    spans, chunk = _upper_plan(n)
+    spans, chunk = _plan(n, n)
     for c in range(0, len(q), chunk):
         if chunk >= len(q):
             qc, pc, dqc, dpc, kc = q, p, dq, dp, k
@@ -156,24 +154,19 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
             dist = pairwise_distances(qe, qs)
             kmat, a = _kernel_terms(kernel, dist, kc)
             pdot = pc[:, s:e] @ ps.transpose(0, 2, 1)
-            # dist is exactly 0 on the block's diagonal; any other 0 is a
-            # coincident pair.  The test counts nonzeros rather than taking
-            # a minimum, which a NaN in another member would poison.
-            dist.reshape(len(dist), -1)[:, :: n - s + 1] = 1.0
-            coincident = None
-            if np.count_nonzero(dist) < dist.size:
-                coincident = dist == 0.0
+            # Each row's own pair and any coincident pair get A = 0 and
+            # distance 1.0 before the division, which keeps them +0.
+            a *= pdot
+            coincident = _coincident(dist, a)
+            if coincident is not None:
                 for b, i, j in np.argwhere(coincident & (pdot != 0.0)):
                     clashes.setdefault(int(c + b), DegenerateConfigurationError(
                         f"particles {s + i} and {s + j} coincide with interacting "
                         "momenta; the momentum equation is singular there"
                     ))
                 dist[coincident] = 1.0
-            a *= pdot
-            a /= dist
-            a.reshape(len(a), -1)[:, :: n - s + 1] = 0.0
-            if coincident is not None:
                 a[coincident] = 0.0
+            a /= dist
             # Rows s:e.  The first block writes in place rather than adding
             # onto zeros, which would round -0 to +0, and at small N each
             # temporary and copy is a measurable share of the call.
@@ -247,8 +240,9 @@ def velocity_field(spec: SystemSpec, state: ParticleState, x) -> np.ndarray:
     single = x_arr.ndim == 1
     pts = as_points(np.atleast_2d(x_arr), "x")
     u = np.empty_like(pts)
-    for s, dist in pairwise_blocks(pts, state.q):
-        u[s : s + len(dist)] = _kernel_terms(spec.kernel, dist)[0] @ state.p
+    for s, e in _plan(len(pts), state.n)[0]:
+        dist = pairwise_distances(pts[s:e], state.q)
+        u[s:e] = _kernel_terms(spec.kernel, dist)[0] @ state.p
     return u[0] if single else u
 
 

@@ -26,7 +26,7 @@ from .errors import (
     require_count,
     require_positive,
 )
-from .kernels import as_points, coincident_pair, pairwise_blocks
+from .kernels import _coincident, _plan, as_points, pairwise_distances
 
 __all__ = [
     "LandmarkTemplate",
@@ -50,11 +50,12 @@ class LandmarkTemplate:
 
     def __post_init__(self):
         pts = as_points(self.points)
-        for s, dist in pairwise_blocks(pts):
-            pair = coincident_pair(dist, s)
-            if pair is not None:
+        for s, e in _plan(len(pts), len(pts))[0]:
+            zero = _coincident(pairwise_distances(pts[s:e], pts[s:]))
+            if zero is not None:
+                i, j = np.argwhere(zero)[0]
                 raise DegenerateConfigurationError(
-                    f"landmarks {pair[0]} and {pair[1]} coincide in template {self.label!r}"
+                    f"landmarks {s + i} and {s + j} coincide in template {self.label!r}"
                 )
         object.__setattr__(self, "points", pts)
 

@@ -216,9 +216,9 @@ def _shoot(cells: list, ps: list):
     systems = [cell.cfg.system for cell in cells]
     k = _constants([s.kernel for s in systems], [s.sigma2 for s in systems])
     q = np.stack([cell.q0 for cell in cells])
-    end, _, failures, _ = _evolve_stack(
-        systems[0].kernel, k, q, np.stack(ps), cells[0].cfg.evolve
-    )
+    # The time grid alone: a shoot keeps no frames.
+    grid = replace(cells[0].cfg.evolve, capture_every=0)
+    end, _, failures, _ = _evolve_stack(systems[0].kernel, k, q, np.stack(ps), grid)
     return end, failures
 
 
@@ -323,13 +323,16 @@ def _drive(problems: list, newton: bool) -> list:
 
     def finish(cell: _Cell, converged: bool, diagnosis: str | None = None) -> None:
         cfg = cell.cfg
+        # The momenta of a diverged cell may overflow H, as expected.
         try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = hamiltonian(cfg.system, ParticleState(cell.q0, cell.p))
             results[cell.index] = MatchResult(
                 p0=cell.p,
                 iterations=len(cell.history),
                 converged=converged,
                 residual_history=tuple(cell.history),
-                hamiltonian=hamiltonian(cfg.system, ParticleState(cell.q0, cell.p)),
+                hamiltonian=h,
                 final_template=LandmarkTemplate(cell.endpoint, cell.label),
                 final_residual=_norm(cfg.norm, cell.residual),
                 diagnosis=diagnosis,

@@ -349,7 +349,7 @@ def test_lockstep_cells_equal_lone_matches(problems):
     singular = any(cfg.system.kernel.alpha == 1e17 for _, _, cfg in problems)
     assert ("DegenerateConfigurationError" in outcomes) == singular
     if problems[0][0].n == 64:
-        assert kernels._block_members(64) < len(problems)
+        assert kernels._plan(64, 64)[1] < len(problems)
     else:
         assert outcomes - {"DegenerateConfigurationError"} == {
             "converged",

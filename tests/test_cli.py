@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, output files, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from geoshoot import circle, ellipse_rot_shift, heart4, load_template, save_template
+from geoshoot import circle, cli, ellipse_rot_shift, heart4, load_template, save_template
 from geoshoot.cli import main
 from geoshoot.io import MANIFEST_SCHEMA
 
@@ -160,6 +164,24 @@ def test_singular_gram_exits_1(tmp_path, capsys):
     assert err.startswith("error: kernel Gram matrix is not positive definite")
     assert len(err.splitlines()) == 1
     assert not (out / "result.json").exists()
+
+
+def test_diverged_match_prints_no_numpy_warning(tmp_path, pair):
+    # A gain of 1e300 overflows the first shoot and the Hamiltonian of
+    # its momenta; both overflows are expected and must stay silent.
+    ref, _ = pair
+    large = tmp_path / "large.json"
+    save_template(circle(2.5, n=8), large)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "geoshoot.cli", "match", str(ref), str(large),
+         "--h", "1e300", "--out", str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "step too large" in done.stdout
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_invalid_gain_exits_2(tmp_path, pair, capsys):

@@ -382,7 +382,7 @@ def test_rhs_default_blocks_agree_with_one_block():
     product, which may round differently, never by more than 1e-12; and
     the momentum rows still sum to zero within rounding."""
     for n in (182, 300, 1024):
-        assert kernels._block_rows(n) < n
+        assert len(kernels._plan(n, n)[0]) > 1
         rng = np.random.default_rng(n)
         q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(n, 2))
         p = rng.normal(size=(n, 2))
@@ -420,7 +420,7 @@ def test_stacked_rhs_equals_each_member_alone_across_upper_blocks():
     """At N = 200 the rows split into upper blocks of 163 and 37; a stack
     of three widths is still bit-equal to three lone calls."""
     n = 200
-    assert kernels._block_rows(n) < n
+    assert kernels._plan(n, n)[0] == ((0, 163), (163, 200))
     rng = np.random.default_rng(200)
     q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(3, n, 2))
     p = rng.normal(size=(3, n, 2))
@@ -468,7 +468,7 @@ def test_coincident_pair_across_upper_blocks_keeps_global_indices(rows):
     q[5], q[6] = q[2], q[4]
     p = np.ones((7, 2))
     with mock.patch.object(kernels, "_BLOCK_ENTRIES", rows * 7):
-        assert kernels._block_rows(7) == rows
+        assert kernels._plan(7, 7)[0][0] == (0, rows)
         with pytest.raises(DegenerateConfigurationError, match="particles 2 and 5 coincide"):
             rhs(SystemSpec(), ParticleState(q, p))
         with pytest.raises(DegenerateConfigurationError, match="points 2 and 5 coincide"):

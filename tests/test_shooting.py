@@ -91,6 +91,30 @@ def test_each_iteration_shoots_once_plus_its_jacobian(solve, per_iteration, shoo
     assert shoots[0] == result.iterations * per_iteration
 
 
+@pytest.mark.parametrize("solve", [match, newton_match])
+def test_driver_shoots_build_no_frames(solve, monkeypatch):
+    """A config that captures every step still shoots on the bare time
+    grid: no shoot returns a frame, and the result is the one without
+    capture, bit for bit."""
+    plain = solve(REF, TGT, quick_cfg(h=1.0))
+    frames = []
+    evolve_stack = shooting._evolve_stack
+
+    def spied_evolve(*args):
+        out = evolve_stack(*args)
+        frames.append(out[3])
+        return out
+
+    monkeypatch.setattr(shooting, "_evolve_stack", spied_evolve)
+    captured = solve(REF, TGT, quick_cfg(h=1.0, evolve=EvolveConfig(steps=60, capture_every=1)))
+    assert len(frames) >= plain.iterations > 0 and not any(frames)
+    assert captured.p0.tobytes() == plain.p0.tobytes()
+    assert captured.final_template.points.tobytes() == plain.final_template.points.tobytes()
+    for name in ("iterations", "converged", "residual_history", "hamiltonian",
+                 "final_residual", "diagnosis", "warnings"):
+        assert getattr(captured, name) == getattr(plain, name)
+
+
 def _momenta_toward(reference, target, cfg):
     return momenta_from_velocity(cfg.system.kernel, reference.points, target.points)
 
