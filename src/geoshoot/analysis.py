@@ -308,9 +308,11 @@ def predict(
     """
     if not (0.0 < t_match < 1.0):
         raise ConfigurationError(f"t_match must lie in (0, 1), got {t_match}")
-    if not (t_predict >= t_match and math.isfinite(t_predict)):
+    onward_steps = cfg.evolve.steps * t_predict / t_match
+    if not (t_predict >= t_match and math.isfinite(onward_steps)):
         raise ConfigurationError(
-            f"t_predict must be >= t_match ({t_match}), got {t_predict}"
+            f"t_predict must be >= t_match ({t_match}) and give a finite "
+            f"step count, got {t_predict}"
         )
 
     match_cfg = replace(cfg, evolve=replace(cfg.evolve, t_final=t_match))
@@ -321,11 +323,10 @@ def predict(
             f"({res.diagnosis or 'iteration cap reached'})"
         )
 
-    steps = max(1, math.ceil(cfg.evolve.steps * t_predict / t_match))
     onward = evolve(
         cfg.system,
         ParticleState(reference.points, res.p0),
-        EvolveConfig(t_final=t_predict, steps=steps),
+        EvolveConfig(t_final=t_predict, steps=max(1, math.ceil(onward_steps))),
     )
     label = f"{reference.label}>{target_partial.label}@t={t_predict:g}"
     return LandmarkTemplate(onward.final.q, label)

@@ -102,6 +102,14 @@ def _config_from(args: argparse.Namespace) -> ShootingConfig:
     )
 
 
+def _check_out(out) -> None:
+    """Reject an ``--out`` path under a regular file before the run,
+    which could otherwise end as a numeric failure before it writes."""
+    for parent in Path(out or ".").parents:
+        if parent.is_file():
+            raise ConfigurationError(f"--out {out}: {parent} is a file, not a directory")
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out) if args.out else Path(f"geoshoot-{args.command}")
     out.mkdir(parents=True, exist_ok=True)
@@ -375,6 +383,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_out(args.out)
         run = args.run(args)
         manifest = RunManifest(
             command=shlex.join(["geoshoot", *argv]),
@@ -386,10 +395,10 @@ def main(argv=None) -> int:
             extras=run.extras or {},
         )
         write_manifest(manifest, run.manifest)
-    except (ConfigurationError, OSError) as exc:
-        # Bad input, bad configuration, or an output path that cannot
-        # be created or written.
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, OSError, MemoryError) as exc:
+        # Bad input, bad configuration, an output path that cannot be
+        # created or written, or a size too large to allocate.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except GeoshootError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import DIVERGED, ClusterVerdict, DistanceRecord, SweepGrid
 from .errors import ConfigurationError
-from .shapes import LandmarkTemplate
+from .shapes import LandmarkTemplate, _template
 from .shooting import MatchResult, ShootingConfig
 
 __all__ = [
@@ -106,12 +106,7 @@ def template_from_dict(doc: dict, path="<memory>") -> LandmarkTemplate:
         points = doc["points"]
     except KeyError:
         raise ConfigurationError(f"{path}: template JSON lacks 'points'") from None
-    # Bad points are bad input: coincident landmarks raise
-    # DegenerateConfigurationError, which is a ValueError too.
-    try:
-        return LandmarkTemplate(np.asarray(points, dtype=float), doc.get("label", ""))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: invalid template points ({exc})") from exc
+    return _template(points, doc.get("label", ""), path)
 
 
 def save_template(t: LandmarkTemplate, path) -> Path:
@@ -122,9 +117,11 @@ def load_template(path) -> LandmarkTemplate:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read template {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, an integer past Python's digit limit, or
+        # nesting past the recursion limit.
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: template JSON must be an object")

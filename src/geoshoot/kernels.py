@@ -150,11 +150,14 @@ def _kernel_terms(
     ``k`` holds the kernel constants: ``spec``'s own by default, or the
     kernel part of a :func:`_constants` stack for a (B, rows, N) batch
     of radii, whose members then differ in alpha only.  G is exact at
-    r = 0.  dG/dr there is finite but meaningless (the conical kernel's
-    derivative jumps at the origin), so callers mask it.  The slope is returned as
-    dG/dr, not dG/dr / r: the particle system weights it by the momentum
-    product before dividing by r, and dividing first would round every
-    conical rhs, and so every match, differently.
+    r = 0; dG/dr there is finite but meaningless (the conical kernel's
+    slope jumps at the origin), so callers mask it.  Bessel terms take
+    their edge cases from IEEE special values: G(0) where the product
+    overflows (kv(mu, 0) is inf), 0 where K underflows, and slope 0
+    where r**mu underflows against an infinite K (a NaN product).  The
+    slope is dG/dr, not dG/dr / r: the particle system weights it by
+    the momentum product before dividing by r, and dividing first would
+    round every conical rhs, and so every match, differently.
     """
     alpha, alpha2, peak, c, c_alpha, neg_alpha = _member_constants(spec) if k is None else k
     if spec.family is KernelFamily.BESSEL:
@@ -162,23 +165,14 @@ def _kernel_terms(
 
         # d/dz [z^mu K_mu(z)] = -z^mu K_(mu-1)(z), with z = r / alpha.
         mu = spec.nu - 1.0
-        value = np.full_like(r, peak)
-        slope = np.zeros_like(r)
-        pos = r > 0
-        rp = r[pos]
-        at = lambda v: np.broadcast_to(v, r.shape)[pos]  # noqa: E731
-        z = rp / at(alpha)
+        z = r / alpha
         with np.errstate(over="ignore", invalid="ignore"):
             k0, k1 = kv(mu, z), kv(mu - 1.0, z)
-            r_mu = rp**mu
-            vals = at(c) * r_mu * k0
-            slopes = -at(c_alpha) * r_mu * k1
-        # kv overflows for extremely small arguments at large order; the
-        # product is finite there and indistinguishable from the peak.  At
-        # decayed radii kv underflows to 0 while r**mu may overflow, and
-        # G and dG/dr are 0.
-        value[pos] = np.where(k0 == 0.0, 0.0, np.where(np.isfinite(vals), vals, at(peak)))
-        slope[pos] = np.where(k1 == 0.0, 0.0, slopes)
+            r_mu = r**mu
+            value = c * r_mu * k0
+            slope = -c_alpha * r_mu * k1
+        value = np.where(k0 == 0.0, 0.0, np.where(np.isfinite(value), value, peak))
+        slope = np.where((k1 == 0.0) | np.isnan(slope), 0.0, slope)
         if spec.normalized:
             value /= peak
             slope /= peak

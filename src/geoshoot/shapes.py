@@ -68,6 +68,17 @@ class LandmarkTemplate:
         return self.points.ravel()
 
 
+def _template(points, label: str, source: str) -> LandmarkTemplate:
+    """The template of ``points`` read or generated from ``source`` (a
+    file, or a generator and its parameters).  Points that are not a
+    finite (N, 2) array of distinct landmarks are bad input there:
+    ConfigurationError naming ``source``."""
+    try:
+        return LandmarkTemplate(np.asarray(points, dtype=float), label)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{source}: invalid template points ({exc})") from exc
+
+
 def _check_finite(**coords) -> None:
     """Reject non-finite centres, shifts and angles."""
     for name, value in coords.items():
@@ -87,7 +98,11 @@ def circle(radius: float, center=(0.0, 0.0), n: int = 64, label: str | None = No
     theta = _angles(n)
     cx, cy = float(center[0]), float(center[1])
     pts = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
-    return LandmarkTemplate(pts, label if label is not None else f"circle(r={radius:g})")
+    return _template(
+        pts,
+        label if label is not None else f"circle(r={radius:g})",
+        f"circle(radius={radius}, center={center}, n={n})",
+    )
 
 
 def ellipse_rot_shift(
@@ -116,9 +131,10 @@ def ellipse_rot_shift(
     sx, sy = float(shift[0]), float(shift[1])
     x = a * math.cos(angle) * np.cos(theta) + b * math.sin(angle) * np.sin(theta) + sx
     y = b * math.cos(angle) * np.sin(theta) - a * math.sin(angle) + sy
-    return LandmarkTemplate(
+    return _template(
         np.column_stack([x, y]),
         label if label is not None else f"ellipse(a={a:g},b={b:g})",
+        f"ellipse_rot_shift(a={a}, b={b}, angle={angle}, shift={shift}, n={n})",
     )
 
 
@@ -139,8 +155,10 @@ def standard_rotated_ellipse(
     ex, ey = a * np.cos(theta), b * np.sin(theta)
     c, s = math.cos(angle), math.sin(angle)
     pts = np.column_stack([c * ex - s * ey + shift[0], s * ex + c * ey + shift[1]])
-    return LandmarkTemplate(
-        pts, label if label is not None else f"ellipse_rot(a={a:g},b={b:g})"
+    return _template(
+        pts,
+        label if label is not None else f"ellipse_rot(a={a:g},b={b:g})",
+        f"standard_rotated_ellipse(a={a}, b={b}, angle={angle}, shift={shift}, n={n})",
     )
 
 
@@ -156,7 +174,9 @@ def heart4(n: int = 64, label: str | None = None) -> LandmarkTemplate:
     t = _angles(n)
     x = (13.0 * np.cos(t) - 5.0 * np.cos(2 * t) - 2.0 * np.cos(3 * t) - np.cos(4 * t)) / 5.0
     y = 16.0 * np.sin(t) ** 3 / 5.0
-    return LandmarkTemplate(np.column_stack([x, y]), label if label is not None else "heart4")
+    return _template(
+        np.column_stack([x, y]), label if label is not None else "heart4", f"heart4(n={n})"
+    )
 
 
 def square(side: float, n: int = 64, label: str | None = None) -> LandmarkTemplate:
@@ -188,8 +208,10 @@ def square(side: float, n: int = 64, label: str | None = None) -> LandmarkTempla
         [edge == 0, edge == 1, edge == 2, edge == 3],
         [-h + f, np.full(n, h), h - f, np.full(n, -h)],
     )
-    return LandmarkTemplate(
-        np.column_stack([x, y]), label if label is not None else f"square(l={side:g})"
+    return _template(
+        np.column_stack([x, y]),
+        label if label is not None else f"square(l={side:g})",
+        f"square(side={side}, n={n})",
     )
 
 
@@ -216,9 +238,10 @@ def circle_ellipse_hybrid(
     upper = np.column_stack([r * np.cos(t_up), r * np.sin(t_up)])
     t_lo = np.pi + np.pi * np.arange(half) / half
     lower = np.column_stack([a * np.cos(t_lo), b * np.sin(t_lo)])
-    return LandmarkTemplate(
+    return _template(
         np.vstack([upper, lower]),
         label if label is not None else f"hybrid(r={r:g},a={a:g},b={b:g})",
+        f"circle_ellipse_hybrid(r={r}, a={a}, b={b}, n={n})",
     )
 
 

@@ -368,18 +368,27 @@ def _drive(problems: list, newton: bool) -> list:
             live.append(cell)
 
     while live:
+        updated = []
         for cell in live:
             cfg = cell.cfg
             if not cell.exact:
                 cell.value = cfg.h * _norm(cfg.norm, cell.residual)
+            step = cell.residual
             if newton:
-                step = _newton_direction(
-                    cell.probe, cell.x, cell.endpoint, cell.residual
-                )
-                cell.x = cell.x + cfg.h * step
-            else:
-                cell.x = cell.x + cfg.h * cell.residual
-            cell.p = cell.momenta(cell.x)
+                step = _newton_direction(cell.probe, cell.x, cell.endpoint, step)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = cell.x + cfg.h * step
+                p = cell.momenta(x)
+            # An update that overflows ends the cell before its shoot; it
+            # keeps its last finite iterate, momenta and endpoint.
+            if not np.isfinite(p).all():
+                finish(cell, False, "step too large (non-finite update)")
+                continue
+            cell.x, cell.p = x, p
+            updated.append(cell)
+        live = updated
+        if not live:
+            break
         ends, failures = _shoot(live, [c.p for c in live])
         still = []
         for b, cell in enumerate(live):

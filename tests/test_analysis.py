@@ -167,6 +167,13 @@ def test_sweep_cells_without_a_gram_factor_diverge():
     assert mat.tolist() == [[DIVERGED, DIVERGED]]
 
 
+def test_sweep_cell_whose_update_overflows_diverges():
+    grid = SweepGrid((1.0,), (0.5, 1e308), n_landmarks=8, tolerance=1e-3)
+    mat = convergence_sweep(circle(2.0, n=8), circle(10.0, n=8), grid)
+    assert mat[0, 0] > 0
+    assert mat[0, 1] == DIVERGED
+
+
 def test_sweep_factors_each_gram_matrix_once(monkeypatch):
     """The alpha^2 = 400 Gram matrix has no Cholesky factor; its five
     cells share one failed attempt, as the other row shares one factor."""
@@ -242,6 +249,9 @@ def test_predict_validates_times():
         predict(REF, partial, 1.0, 1.0, CFG)
     with pytest.raises(ConfigurationError, match="t_predict"):
         predict(REF, partial, 0.5, 0.4, CFG)
+    # The onward run's step count would overflow.
+    with pytest.raises(ConfigurationError, match="finite step count"):
+        predict(REF, partial, 0.5, 1e308, CFG)
 
 
 def test_predict_surfaces_match_failure():

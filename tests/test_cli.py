@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output files, manifests."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoshoot import circle, cli, ellipse_rot_shift, heart4, load_template, save_template
 from geoshoot.cli import main
@@ -184,6 +188,81 @@ def test_diverged_match_prints_no_numpy_warning(tmp_path, pair):
     assert "RuntimeWarning" not in done.stderr
 
 
+def test_overflowing_gain_diverges_without_traceback(tmp_path, pair):
+    # A gain of 1e308 overflows the update itself: the match ends as
+    # diverged before its shoot, and a sweep with such a cell completes.
+    ref, _ = pair
+    large = tmp_path / "large.json"
+    save_template(circle(10.0, n=8), large)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runs = [
+        ["match", str(ref), str(large), "--h", "1e308", "--out", str(tmp_path / "run")],
+        ["sweep", "--reference", str(ref), "--target", str(large), "--alpha2", "1",
+         "--h-values", "0.5", "1e308", "--max-iter", "100", "--out", str(tmp_path / "sw")],
+    ]
+    codes = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "geoshoot.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr, done.stderr
+        codes.append((done.returncode, done.stdout))
+    assert codes[0][0] == 1 and "step too large (non-finite update)" in codes[0][1]
+    assert codes[1][0] == 0 and "1 diverged" in codes[1][1]
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert rows[2].endswith(",,false")
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["square", "--side", "1e-320"], "square(side=1e-320"),
+        (["circle", "--radius", "1e308", "--shift-x", "1e308"], "circle(radius=1e+308"),
+    ],
+)
+def test_shape_parameters_giving_bad_landmarks_exit_2(tmp_path, capsys, argv, names):
+    out = tmp_path / "s.json"
+    code = main(["shapes", *argv, "--n", "8", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {names}") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_non_utf8_template_exits_2(tmp_path, pair, capsys):
+    ref, _ = pair
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    code = main(["match", str(ref), str(binary), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read template {binary}") and len(err.splitlines()) == 1
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    # A landmark count too large to allocate; simulated, never allocated.
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "circle", too_large)
+    code = main(["shapes", "circle", "--n", "100000000000", "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB\n"
+
+
+def test_output_under_a_regular_file_exits_2_before_the_run(tmp_path, pair, capsys, monkeypatch):
+    # The prediction match would fail (exit 1) after its work; the bad
+    # output path is reported first.
+    ref, tgt = pair
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    monkeypatch.setattr(cli, "predict", lambda *a: pytest.fail("the run started"))
+    code = main(["predict", str(ref), str(tgt), "--t-match", "0.5", "--t-predict", "1",
+                 "--out", str(taken / "sub")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {taken / 'sub'}")
+
+
 def test_invalid_gain_exits_2(tmp_path, pair, capsys):
     ref, tgt = pair
     code = main(["match", str(ref), str(tgt), "--h", "-1", "--out", str(tmp_path / "x")])
@@ -333,3 +412,138 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out.strip()
     assert out and all(part.isdigit() for part in out.split("."))
+
+
+# The property test over the CLI draws every flag's value from one of
+# three pools: good values, edge values whose exit code depends on the
+# run (1e308 and 1e-320 where they are in range), and bad values, which
+# must exit 2 whatever else is drawn.  Sizes stay small: N <= 16,
+# --max-iter <= 5 and --steps <= 20.
+_POSITIVE = {"good": ["0.5", "1"], "edge": ["1e308", "1e-320"],
+             "bad": ["nan", "inf", "-inf", "0", "-1"]}
+_FINITE = {"good": ["0", "0.5"], "edge": ["1e308", "1e-320"], "bad": ["nan", "inf"]}
+_SHOOTING_FLAGS = {
+    "--kernel": {"good": ["conical", "gaussian", "bessel"], "bad": ["cubic"]},
+    "--nu": {"good": ["2.5", "3"], "edge": ["1", "1e308"], "bad": ["nan", "inf", "0", "-1"]},
+    "--alpha": {"good": ["0.8", "1"], "bad": ["nan", "inf", "0", "-1", "1e308", "1e-320"]},
+    "--h": _POSITIVE,
+    "--eps": _POSITIVE,
+    "--max-iter": {"good": ["1", "5"], "bad": ["0", "-1", "2.5", "x"]},
+    "--steps": {"good": ["5", "20"], "bad": ["0", "-2", "2.5"]},
+    "--t-final": _POSITIVE,
+    "--sigma2": {"good": ["0", "0.1"], "edge": ["1e308", "1e-320"],
+                 "bad": ["nan", "inf", "-1"]},
+    "--update": {"good": ["velocity", "momentum"], "bad": ["both"]},
+    "--norm": {"good": ["max", "l2"], "bad": ["linf"]},
+}
+_COUNT = {"good": ["8", "16"], "edge": ["5", "6"], "bad": ["2", "0", "-3", "8.5", "x"]}
+_SHAPE_PARAMS = {"radius": _POSITIVE, "r": _POSITIVE, "a": _POSITIVE, "b": _POSITIVE,
+                 "side": _POSITIVE, "angle": _FINITE, "shift_x": _FINITE, "shift_y": _FINITE}
+_TEMPLATES = {"good": ["c8.json", "e8.json"],
+              "bad": ["missing.json", "truncated.json", "binary.json", "list.json",
+                      "coincident.json", "huge-int.json"]}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A directory holding the property test's template files, good and
+    bad, and ``file``, a regular file that no path can pass through."""
+    root = tmp_path_factory.mktemp("cli-inputs")
+    save_template(circle(1.0, n=8, label="c"), root / "c8.json")
+    save_template(ellipse_rot_shift(1.3, 0.9, 0.0, (0.1, 0.0), n=8, label="e"),
+                  root / "e8.json")
+    text = (root / "c8.json").read_text()
+    (root / "truncated.json").write_text(text[: len(text) // 2])
+    (root / "binary.json").write_bytes(b"\xff\xfe\x00bad")
+    (root / "list.json").write_text("[[0, 0], [1, 0]]")
+    points = circle(1.0, n=8).points.tolist()
+    points[5] = points[1]
+    (root / "coincident.json").write_text(json.dumps({"points": points}))
+    (root / "huge-int.json").write_text('{"points": [[1' + "0" * 400 + ", 0], [0, 1]]}")
+    (root / "file").write_text("a regular file\n")
+    return root
+
+
+@st.composite
+def _cli_draw(draw, root):
+    """argv for one subcommand, and the set of value kinds it holds."""
+    kinds = set()
+
+    def pick(pool):
+        kind = draw(st.sampled_from(["good"] * 6 + [k for k in ("edge", "bad") if k in pool]))
+        kinds.add(kind)
+        return draw(st.sampled_from(pool[kind]))
+
+    def template():
+        return str(root / pick(_TEMPLATES))
+
+    def options(flags):
+        if not flags:
+            return []
+        chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
+        return [f"{flag}={pick(flags[flag])}" for flag in chosen]
+
+    command = draw(st.sampled_from(["shapes", "match", "predict", "distance",
+                                    "cluster", "sweep"]))
+    bad_out = draw(st.sampled_from([False] * 6 + [True]))
+    kinds.add("bad" if bad_out else "good")
+    out = root / "file" / "out" if bad_out else root / f"out-{command}"
+    if command == "shapes":
+        name = pick({"good": ["circle", "ellipse", "rotated-ellipse", "heart4", "square",
+                              "hybrid"], "bad": ["triangle"]})
+        # Only the generator's own parameters; it ignores the others.
+        params = cli._SHAPES[name][1] if name in cli._SHAPES else ()
+        flags = {"--" + p.replace("_", "-"): _SHAPE_PARAMS[p] for p in params if p != "n"}
+        argv = ["shapes", name, *options(flags), "--n=" + pick(_COUNT), f"--out={out}.json"]
+        return argv, kinds
+
+    def shooting():
+        return ["--max-iter=" + pick(_SHOOTING_FLAGS["--max-iter"]),
+                "--steps=" + pick(_SHOOTING_FLAGS["--steps"]),
+                *options({k: v for k, v in _SHOOTING_FLAGS.items()
+                          if k not in ("--max-iter", "--steps")})]
+
+    if command in ("match", "distance"):
+        argv = [command, template(), template(), *shooting()]
+        if command == "match":
+            argv.append("--capture-every=" + pick({"good": ["0", "2"], "bad": ["-1"]}))
+    elif command == "predict":
+        argv = ["predict", template(), template(), *shooting(),
+                "--t-match=" + pick({"good": ["0.5"], "bad": ["0", "1", "nan", "-1"]}),
+                "--t-predict=" + pick({"good": ["0.5", "1"],
+                                       "bad": ["nan", "inf", "0.25", "1e308"]})]
+    elif command == "cluster":
+        argv = ["cluster", template(), template(), "--refs", template(), template(),
+                "--pair-threshold=" + pick(_POSITIVE),
+                "--ref-diff-threshold=" + pick(_POSITIVE), *shooting()]
+    else:
+        argv = ["sweep", "--max-iter=" + pick(_SHOOTING_FLAGS["--max-iter"]),
+                "--alpha2", pick(_POSITIVE), "--h-values", pick(_POSITIVE),
+                *options({"--kernel": _SHOOTING_FLAGS["--kernel"], "--tol": _POSITIVE})]
+        # --n sizes only the built-in pair.
+        if draw(st.booleans()):
+            argv += ["--reference", template(), "--target", template()]
+        else:
+            argv.append("--n=" + pick(_COUNT))
+    return [*argv, f"--out={out}"], kinds
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_input(cli_inputs, data):
+    """Whatever the argv, main returns or exits with 0, 1 or 2 and prints
+    no traceback; any bad value exits 2."""
+    argv, kinds = data.draw(_cli_draw(cli_inputs), label="argv")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    if "bad" in kinds:
+        assert code == 2, err.getvalue()
+    elif "edge" in kinds:
+        assert code in (0, 1, 2), err.getvalue()
+    else:
+        assert code in (0, 1), err.getvalue()

@@ -90,6 +90,24 @@ def test_loader_reports_bad_json_and_missing_file(tmp_path):
         load_template(top_level_list)
 
 
+def test_loader_reports_undecodable_and_unparsable_files(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(ConfigurationError, match="cannot read template"):
+        load_template(binary)
+    # An integer past Python's digit limit, and nesting past its
+    # recursion limit, are malformed JSON too.
+    for name, text in (("digits.json", '{"points": ' + "1" * 5000 + "}"),
+                       ("deep.json", "[" * 100_000)):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            load_template(tmp_path / name)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"points": [[1' + "0" * 400 + ", 0], [0, 1]]}")
+    with pytest.raises(ConfigurationError, match="invalid template points"):
+        load_template(huge)
+
+
 def _small_result():
     ref = circle(1.0, n=6)
     tgt = circle(1.2, n=6)

@@ -66,6 +66,24 @@ def test_bessel_kernel_vanishes_at_decayed_radii(nu, normalized):
         assert np.array_equal(kernel_derivative(spec, radii), np.zeros(4))
 
 
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("nu", [2.5, 5.0])
+def test_bessel_kernel_peaks_with_zero_slope_at_tiny_radii(nu, normalized):
+    """At tiny radii r**(nu-1) underflows to 0 while K_(nu-2) overflows;
+    the slope is 0 there, its limit, not 0 * inf = NaN, and the value is
+    G(0); nothing warns."""
+    spec = KernelSpec(family="bessel", nu=nu, normalized=normalized)
+    radii = np.array([1e-300, 1e-320])
+    peak = kernel_value(spec, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in radii:
+            assert kernel_value(spec, r) == peak
+            assert kernel_derivative(spec, r) == 0.0
+        assert np.array_equal(kernel_value(spec, radii), np.full(2, peak))
+        assert np.array_equal(kernel_derivative(spec, radii), np.zeros(2))
+
+
 def test_conical_equals_bessel_at_nu_three_halves():
     """The nu = 3/2 Bessel kernel collapses to the exponential closed form."""
     r = np.linspace(0.05, 12.0, 60)

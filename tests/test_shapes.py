@@ -214,6 +214,28 @@ def test_template_rejects_coincident_landmarks():
                 LandmarkTemplate(pts)
 
 
+@pytest.mark.parametrize(
+    "make, names",
+    [
+        (lambda: square(1e-320, n=8), "square(side=1e-320, n=8)"),
+        (lambda: circle(1e-320, n=8), "circle(radius=1e-320"),
+        (lambda: circle(1e308, (1e308, 0.0), n=8), "circle(radius=1e+308, center=(1e+308"),
+        (lambda: ellipse_rot_shift(1e308, 1.0, 0.0, (1e308, 0.0), n=8), "ellipse_rot_shift("),
+        (lambda: standard_rotated_ellipse(1e-320, 1e-320, 0.0, n=8),
+         "standard_rotated_ellipse("),
+        (lambda: circle_ellipse_hybrid(1e-320, 1e-320, 1e-320, n=8),
+         "circle_ellipse_hybrid("),
+    ],
+)
+def test_generator_parameters_giving_bad_landmarks_are_configuration_errors(make, names):
+    """Parameters in range whose landmarks coincide or overflow are bad
+    input: ConfigurationError naming the generator and its parameters."""
+    with np.errstate(all="ignore"), pytest.raises(ConfigurationError) as exc:
+        make()
+    assert str(exc.value).startswith(names)
+    assert "invalid template points" in str(exc.value)
+
+
 def test_template_accessors():
     t = circle(1.0, n=5, label="c5")
     assert t.n == 5

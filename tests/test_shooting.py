@@ -1,6 +1,7 @@
 """Feedback matching loop, Newton baseline, and their diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,29 @@ def test_oversized_gain_reports_step_too_large(solve):
     assert not result.converged
     assert "step too large" in result.diagnosis
     assert np.all(np.isfinite(result.p0))
+
+
+@pytest.mark.parametrize(
+    "solve, space",
+    [(match, "velocity"), (match, "momentum"), (newton_match, "velocity")],
+)
+def test_overflowing_update_ends_the_match_before_its_shoot(solve, space, shoots):
+    """A gain so large that the update overflows ends the match as
+    diverged, silently and without shooting the update (Newton still
+    shoots its Jacobian probes); the result keeps the last finite
+    iterate, here the start p = 0."""
+    ref, tgt = circle(2.0, n=8), circle(10.0, n=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve(ref, tgt, quick_cfg(h=1e308, update_space=space))
+    assert not result.converged
+    assert result.diagnosis == "step too large (non-finite update)"
+    assert result.iterations == 0 and result.residual_history == ()
+    np.testing.assert_array_equal(result.p0, np.zeros((8, 2)))
+    np.testing.assert_array_equal(result.final_template.points, ref.points)
+    assert result.final_residual == 8.0
+    assert result.hamiltonian == 0.0
+    assert shoots[0] == (2 * 8 if solve is newton_match else 0)
 
 
 @pytest.mark.parametrize("solve", [match, newton_match])
