@@ -32,8 +32,8 @@ from .errors import (
     require_count,
     require_positive,
 )
-from .kernels import KernelSpec, _constants
-from .particles import ParticleState, SystemSpec, _rhs, _stack
+from .kernels import KernelSpec
+from .particles import ParticleState, SystemSpec, _constants, _rhs, _stack
 
 __all__ = ["EvolveConfig", "EvolveResult", "evolve"]
 
@@ -147,9 +147,8 @@ def evolve(
     """
     if config is None:
         config = EvolveConfig()
-    k = _constants([spec.kernel], [spec.sigma2])
     q, p, failures, frames = _evolve_stack(
-        spec.kernel, k, state.q[None], state.p[None], config
+        spec.kernel, _constants([spec]), state.q[None], state.p[None], config
     )
     if failures:
         raise failures[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -48,23 +47,6 @@ __all__ = [
 TEMPLATE_SCHEMA = "geoshoot.template/1"
 RESULT_SCHEMA = "geoshoot.match-result/1"
 MANIFEST_SCHEMA = "geoshoot.manifest/1"
-
-
-def _plain(value):
-    """Recursively convert dataclasses/enums/arrays to JSON-ready values."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _plain(v) for k, v in dataclasses.asdict(value).items()}
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 def _write_json(doc: dict, path) -> Path:
@@ -219,8 +201,9 @@ def write_sweep_csv(grid: SweepGrid, matrix: np.ndarray, path) -> Path:
 
 
 def config_echo(cfg: ShootingConfig) -> dict:
-    """Every knob of a run, flattened to JSON-ready values."""
-    return _plain(cfg)
+    """Every knob of a run as nested dicts, ready for json: the package's
+    enums are str subclasses, written as their values."""
+    return dataclasses.asdict(cfg)
 
 
 def sha256_digest(path) -> str:
@@ -250,4 +233,4 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path) -> Path:
-    return _write_json({"schema": MANIFEST_SCHEMA, **_plain(manifest)}, path)
+    return _write_json({"schema": MANIFEST_SCHEMA, **dataclasses.asdict(manifest)}, path)

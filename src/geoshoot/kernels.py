@@ -76,11 +76,28 @@ class KernelSpec:
                     f"nu={self.nu} in (1, 1.5): kernel has a cusp at r=0 and is used unmollified",
                     stacklevel=3,
                 )
-        # Extreme widths and orders overflow or vanish in the constants
-        # every evaluation divides by or scales with.
+        # Every evaluation's constants, computed once and kept outside the
+        # fields as ``_k``: alpha, alpha**2, G(0), the Bessel factors c and
+        # c / alpha (c is 0 outside the bessel family), and -alpha.
+        # Extreme widths and orders overflow or vanish in them.
+        alpha, a2 = self.alpha, self.alpha * self.alpha
+        c = 0.0
         try:
             with np.errstate(all="ignore"):
-                _, _, peak, c, *_ = _member_constants(self)
+                if self.family is KernelFamily.BESSEL:
+                    # scipy.special is imported in the bessel branches only:
+                    # no other family uses it, and importing it adds about
+                    # 3.5 MB to a run's peak memory and tens of milliseconds
+                    # to its start.
+                    from scipy.special import gamma
+
+                    c = 2.0 ** (1.0 - self.nu) / (
+                        2.0 * math.pi * alpha ** (1.0 + self.nu) * gamma(self.nu)
+                    )
+                    peak = 1.0 / (4.0 * math.pi * a2 * (self.nu - 1.0))
+                else:
+                    peak = 1.0 / (2.0 * math.pi * a2)
+                k = (alpha, alpha**2, peak, c, c / alpha, -alpha)
         except (ZeroDivisionError, OverflowError):
             peak = c = math.nan
         if not (0 < peak < math.inf) or (
@@ -90,55 +107,7 @@ class KernelSpec:
                 f"kernel constants G(0) = {peak} and c = {c} are not finite and "
                 f"nonzero at alpha={self.alpha}, nu={self.nu}"
             )
-
-    def peak(self) -> float:
-        """Unnormalized kernel value at r = 0."""
-        a2 = self.alpha * self.alpha
-        if self.family is KernelFamily.BESSEL:
-            return 1.0 / (4.0 * math.pi * a2 * (self.nu - 1.0))
-        return 1.0 / (2.0 * math.pi * a2)
-
-
-def _member_constants(spec: KernelSpec) -> tuple:
-    """alpha, alpha**2, G(0), the Bessel factors c and c / alpha, and
-    -alpha of one kernel, as scalars (c is 0 outside the bessel family).
-
-    A batch of kernels stacks these per member (:func:`_constants`), so
-    every member's terms round exactly as a lone kernel's do.
-    """
-    alpha = spec.alpha
-    c = 0.0
-    if spec.family is KernelFamily.BESSEL:
-        # scipy.special is imported in the bessel branches only: no other
-        # family uses it, and importing it adds about 3.5 MB to a run's
-        # peak memory and tens of milliseconds to its start.
-        from scipy.special import gamma
-
-        c = 2.0 ** (1.0 - spec.nu) / (
-            2.0 * math.pi * alpha ** (1.0 + spec.nu) * gamma(spec.nu)
-        )
-    return alpha, alpha**2, spec.peak(), c, c / alpha, -alpha
-
-
-def _constants(specs, sigma2s) -> tuple:
-    """The :func:`_member_constants` of a stack of kernels that share
-    family, nu and normalization (only alpha may differ), followed by
-    the members' ``sigma2s``, the particle system's one other constant.
-
-    Each constant is one float where every member shares it, and else a
-    (B, 1, 1) array of the members' values, which broadcasts over
-    (B, rows, N) radii.
-    """
-    return tuple(
-        col[0] if all(v == col[0] for v in col) else np.array(col)[:, None, None]
-        for col in (*zip(*(_member_constants(s) for s in specs)), sigma2s)
-    )
-
-
-def _members(k: tuple, index) -> tuple:
-    """The constants of the members ``index`` (a slice) of a
-    :func:`_constants` stack."""
-    return tuple(v if np.ndim(v) == 0 else v[index] for v in k)
+        object.__setattr__(self, "_k", k)
 
 
 def _kernel_terms(
@@ -147,19 +116,22 @@ def _kernel_terms(
     """G(r) and dG/dr over an array of radii r >= 0, from one evaluation of
     the family's exp (or of each Bessel order).
 
-    ``k`` holds the kernel constants: ``spec``'s own by default, or the
-    kernel part of a :func:`_constants` stack for a (B, rows, N) batch
-    of radii, whose members then differ in alpha only.  G is exact at
-    r = 0; dG/dr there is finite but meaningless (the conical kernel's
-    slope jumps at the origin), so callers mask it.  Bessel terms take
-    their edge cases from IEEE special values: G(0) where the product
-    overflows (kv(mu, 0) is inf), 0 where K underflows, and slope 0
-    where r**mu underflows against an infinite K (a NaN product).  The
-    slope is dG/dr, not dG/dr / r: the particle system weights it by
-    the momentum product before dividing by r, and dividing first would
-    round every conical rhs, and so every match, differently.
+    ``k`` holds the kernel constants: by default ``spec._k``, which the
+    spec computed and validated once when it was built, or the kernel
+    part of a :func:`geoshoot.particles._constants` stack for a
+    (B, rows, N) batch of radii, whose members then differ in alpha
+    only.  G is exact at r = 0; dG/dr there is finite but meaningless
+    (the conical kernel's slope jumps at the origin), so callers mask
+    it.  Bessel terms take their edge cases from IEEE special values:
+    G(0) where the product overflows (kv(mu, 0) is inf), 0 where K
+    underflows, and slope 0 where r**mu underflows against an infinite
+    K (a NaN product).  Gaussian slopes are 0 where r / alpha**2
+    overflows.  The slope is dG/dr, not dG/dr / r: the particle system
+    weights it by the momentum product before dividing by r, and
+    dividing first would round every conical rhs, and so every match,
+    differently.
     """
-    alpha, alpha2, peak, c, c_alpha, neg_alpha = _member_constants(spec) if k is None else k
+    alpha, alpha2, peak, c, c_alpha, neg_alpha = spec._k if k is None else k
     if spec.family is KernelFamily.BESSEL:
         from scipy.special import kv
 
@@ -185,8 +157,12 @@ def _kernel_terms(
         np.exp(value, out=value)
         slope = np.divide(value, neg_alpha)
     else:
-        value = np.exp(-0.5 * (r / alpha) ** 2)
-        slope = -(r / alpha2) * value
+        # Where r / alpha2 overflows, the value has underflowed to 0 and
+        # the slope is inf * 0 = NaN; it is 0 there.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.exp(-0.5 * (r / alpha) ** 2)
+            slope = -(r / alpha2) * value
+        slope[np.isnan(slope)] = 0.0
     if not spec.normalized:
         value *= peak
         slope *= peak
@@ -300,16 +276,19 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     pts = as_points(points)
     n = len(pts)
     kmat = np.empty((n, n))
-    for s, e in _plan(n, n)[0]:
-        dist = pairwise_distances(pts[s:e], pts[s:])
-        # d_ij == d_ji exactly, so the mirrored entries are the same bits.
-        values = _kernel_terms(spec, dist)[0]
-        zero = _coincident(dist)
-        if zero is not None:
-            i, j = np.argwhere(zero)[0]
-            raise DegenerateConfigurationError(
-                f"points {s + i} and {s + j} coincide; Gram matrix would be singular"
-            )
-        kmat[s:e, s:] = values
-        kmat[e:, s:e] = values[:, e - s :].T
+    # Distances between coordinates near the float limit overflow to inf,
+    # where every family's G is 0.
+    with np.errstate(over="ignore"):
+        for s, e in _plan(n, n)[0]:
+            dist = pairwise_distances(pts[s:e], pts[s:])
+            # d_ij == d_ji exactly, so the mirrored entries are the same bits.
+            values = _kernel_terms(spec, dist)[0]
+            zero = _coincident(dist)
+            if zero is not None:
+                i, j = np.argwhere(zero)[0]
+                raise DegenerateConfigurationError(
+                    f"points {s + i} and {s + j} coincide; Gram matrix would be singular"
+                )
+            kmat[s:e, s:] = values
+            kmat[e:, s:e] = values[:, e - s :].T
     return kmat

@@ -20,15 +20,18 @@ the unvalidated ``_rhs``, which the RK4 loop of
 :mod:`geoshoot.integrator` calls directly on every stage.  ``_rhs``
 works on the state y = (q, p) of a (B, N, 2) stack of systems, held as
 one C-ordered (2, B, N, 2) array (:func:`_stack`), whose members may
-differ in kernel width and sigma2, so that many independent shoots advance
-in lockstep; each member's arithmetic is the same as alone.  Every kernel
-sum here runs in the row spans of the block plan
-:func:`geoshoot.kernels._plan`, computed once per shape and block budget
-rather than on every stage, so no full (N, N) matrix is held.  ``_rhs``
-takes the particles against themselves in upper blocks, rows s:e
-against columns s:N: K and A are symmetric, so each block's
-strictly upper part, transposed, also gives rows e:N their terms from
-rows s:e, and every pair's distance and kernel terms are computed once.
+differ in kernel width and sigma2, so that many independent shoots
+advance in lockstep; each member's arithmetic is the same as alone.
+Each kernel computes its constants once, when its ``KernelSpec`` is
+built, and :func:`_constants`, beside ``_rhs``, its one reader, stacks
+them with each system's sigma2 once per shoot.  Every kernel sum here
+runs in the row spans of the block plan :func:`geoshoot.kernels._plan`,
+computed once per shape and block budget rather than on every stage,
+so no full (N, N) matrix is held.  ``_rhs`` takes the particles
+against themselves in upper blocks, rows s:e against columns s:N: K
+and A are symmetric, so each block's strictly upper part, transposed,
+also gives rows e:N their terms from rows s:e, and every pair's
+distance and kernel terms are computed once.
 """
 
 from __future__ import annotations
@@ -42,9 +45,7 @@ from .errors import ConfigurationError, DegenerateConfigurationError
 from .kernels import (
     KernelSpec,
     _coincident,
-    _constants,
     _kernel_terms,
-    _members,
     _plan,
     as_points,
     pairwise_distances,
@@ -106,17 +107,34 @@ def _stack(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return y
 
 
+def _constants(systems) -> tuple:
+    """The constants of a stack of ``systems`` that share kernel family,
+    nu and normalization (only alpha and sigma2 may differ): each
+    kernel's own constants (``KernelSpec._k``), then sigma2.
+
+    Each constant is one float where every member shares it, and else a
+    (B, 1, 1) array of the members' values, which broadcasts over
+    (B, rows, N) radii.  Each member's terms then round exactly as a
+    lone system's do.
+    """
+    return tuple(
+        col[0] if all(v == col[0] for v in col) else np.array(col)[:, None, None]
+        for col in zip(*((*s.kernel._k, s.sigma2) for s in systems))
+    )
+
+
 def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     """(d, clashes) on a raw (2, B, N, 2) state, with no input validation.
 
     y = (q, p) holds a (B, N, 2) stack of systems in the C order of
     :func:`_stack`, and d = (dq, dp) comes back in the same layout.
     Member b runs with the family, nu and normalization of ``kernel``
-    and with member b of the constants ``k`` (a
-    :func:`~geoshoot.kernels._constants` stack), so the members of one
-    stack may differ in alpha and in sigma2.  With K[i,j] = G(d_ij) and
-    A[i,j] = (p_i.p_j) G'(d_ij) / d_ij off the diagonal (zero on it),
-    dq = K p and dp_i = -sum_j A[i,j] (q_i - q_j).  Coincident pairs are
+    and with member b of the constants ``k``: a :func:`_constants` stack
+    of its kernel's constants, computed when its ``KernelSpec`` was
+    built, and its sigma2.  So the members of one stack may differ in
+    alpha and in sigma2.  With K[i,j] = G(d_ij) and A[i,j] =
+    (p_i.p_j) G'(d_ij) / d_ij off the diagonal (zero on it), dq = K p
+    and dp_i = -sum_j A[i,j] (q_i - q_j).  Coincident pairs are
     tolerated only when their momentum product vanishes, in which case
     their A entry is zero; ``clashes`` maps each member that has an
     interacting coincident pair to the error that pair raises, and that
@@ -146,7 +164,7 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
         else:
             members = slice(c, c + chunk)
             qc, pc, dqc, dpc = q[members], p[members], dq[members], dp[members]
-            kc = _members(k, members)
+            kc = tuple(v if np.ndim(v) == 0 else v[members] for v in k)
         for s, e in spans:
             # Columns s:N; the first block spans them all.
             qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
@@ -204,8 +222,9 @@ def rhs(spec: SystemSpec, state: ParticleState) -> tuple[np.ndarray, np.ndarray]
     The result does not depend on the memory layout of ``state.q`` and
     ``state.p``: they are copied into one C-ordered state first.
     """
-    k = _constants([spec.kernel], [spec.sigma2])
-    d, clashes = _rhs(spec.kernel, _stack(state.q[None], state.p[None]), k)
+    d, clashes = _rhs(
+        spec.kernel, _stack(state.q[None], state.p[None]), _constants([spec])
+    )
     if clashes:
         raise clashes[0]
     return d[0, 0], d[1, 0]

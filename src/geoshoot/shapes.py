@@ -50,13 +50,16 @@ class LandmarkTemplate:
 
     def __post_init__(self):
         pts = as_points(self.points)
-        for s, e in _plan(len(pts), len(pts))[0]:
-            zero = _coincident(pairwise_distances(pts[s:e], pts[s:]))
-            if zero is not None:
-                i, j = np.argwhere(zero)[0]
-                raise DegenerateConfigurationError(
-                    f"landmarks {s + i} and {s + j} coincide in template {self.label!r}"
-                )
+        # Distances between coordinates near the float limit overflow to
+        # inf, which is not a coincidence.
+        with np.errstate(over="ignore"):
+            for s, e in _plan(len(pts), len(pts))[0]:
+                zero = _coincident(pairwise_distances(pts[s:e], pts[s:]))
+                if zero is not None:
+                    i, j = np.argwhere(zero)[0]
+                    raise DegenerateConfigurationError(
+                        f"landmarks {s + i} and {s + j} coincide in template {self.label!r}"
+                    )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -86,10 +89,17 @@ def _check_finite(**coords) -> None:
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+# Parameters near the float limit overflow in a generator's arithmetic;
+# the landmarks that come out are then not finite, which _template
+# reports as bad input instead of a numpy warning.
+_overflowing = np.errstate(over="ignore", invalid="ignore")
+
+
 def _angles(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+@_overflowing
 def circle(radius: float, center=(0.0, 0.0), n: int = 64, label: str | None = None) -> LandmarkTemplate:
     """n points on a circle at uniform angles, counterclockwise from angle 0."""
     require_positive("radius", radius)
@@ -105,6 +115,7 @@ def circle(radius: float, center=(0.0, 0.0), n: int = 64, label: str | None = No
     )
 
 
+@_overflowing
 def ellipse_rot_shift(
     a: float,
     b: float,
@@ -138,6 +149,7 @@ def ellipse_rot_shift(
     )
 
 
+@_overflowing
 def standard_rotated_ellipse(
     a: float,
     b: float,
@@ -179,6 +191,7 @@ def heart4(n: int = 64, label: str | None = None) -> LandmarkTemplate:
     )
 
 
+@_overflowing
 def square(side: float, n: int = 64, label: str | None = None) -> LandmarkTemplate:
     """Axis-aligned square traversed counterclockwise, n/4 equally spaced
     points per edge, starting at the mid-right-edge point (side/2, 0).

@@ -34,8 +34,8 @@ from .errors import (
     require_positive,
 )
 from .integrator import EvolveConfig, _evolve_stack
-from .kernels import KernelSpec, _constants, as_points, gram_matrix
-from .particles import ParticleState, SystemSpec, hamiltonian
+from .kernels import KernelSpec, as_points, gram_matrix
+from .particles import ParticleState, SystemSpec, _constants, hamiltonian
 from .shapes import LandmarkTemplate
 
 __all__ = [
@@ -214,7 +214,7 @@ def _shoot(cells: list, ps: list):
     member's endpoint is meaningless.
     """
     systems = [cell.cfg.system for cell in cells]
-    k = _constants([s.kernel for s in systems], [s.sigma2 for s in systems])
+    k = _constants(systems)
     q = np.stack([cell.q0 for cell in cells])
     # The time grid alone: a shoot keeps no frames.
     grid = replace(cells[0].cfg.evolve, capture_every=0)

@@ -19,12 +19,6 @@ _CELL = 56  # px, side of one heatmap cell
 _FRAME = 480  # px, side of the square frames figure
 
 
-def _esc(text: str) -> str:
-    return (
-        str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
 def heatmap_svg(grid: SweepGrid, matrix: np.ndarray) -> str:
     """Gray-level map of a convergence sweep.
 
@@ -33,6 +27,10 @@ def heatmap_svg(grid: SweepGrid, matrix: np.ndarray) -> str:
     cell never reads as divergent); diverged cells are white and marked
     with a cross, mirroring the usual tabulation.
     """
+    # Imported here, not with the module: html loads html.entities, about
+    # 0.2 MB of peak memory that only a heatmap's title needs.
+    import html
+
     rows, cols = matrix.shape
     left, top = 70, 34
     width = left + cols * _CELL + 16
@@ -46,8 +44,8 @@ def heatmap_svg(grid: SweepGrid, matrix: np.ndarray) -> str:
         'font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{left}" y="18">iterations to convergence '
-        f"({_esc(grid.kernel_family.value)} kernel, N={grid.n_landmarks}, "
-        f"tol={grid.tolerance:g})</text>",
+        f"({html.escape(grid.kernel_family.value, quote=False)} kernel, "
+        f"N={grid.n_landmarks}, tol={grid.tolerance:g})</text>",
     ]
     for j, h in enumerate(grid.h_values):
         parts.append(

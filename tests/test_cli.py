@@ -229,6 +229,32 @@ def test_shape_parameters_giving_bad_landmarks_exit_2(tmp_path, capsys, argv, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["square", "--side", "1e308"], 2, "error: square(side=1e+308, n=64): invalid template"),
+        (["circle", "--radius", "1e308", "--n", "8"], 0, None),
+    ],
+    ids=["square", "circle"],
+)
+def test_shapes_near_the_float_limit_print_no_numpy_warning(tmp_path, argv, code, error):
+    """A square of side 1e308 overflows in its generator and is bad input;
+    a circle of radius 1e308 is a valid template whose distances overflow.
+    Neither prints a numpy warning, in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "geoshoot.cli", "shapes", *argv, "--out", str(tmp_path / "s.json")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if error is None:
+        assert done.stderr == ""
+    else:
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(error), done.stderr
+
+
 def test_non_utf8_template_exits_2(tmp_path, pair, capsys):
     ref, _ = pair
     binary = tmp_path / "binary.json"

@@ -15,7 +15,7 @@ from geoshoot import (
     evolve,
     rhs,
 )
-from geoshoot import integrator, kernels
+from geoshoot import integrator, particles
 
 
 def _swirl_state(n=8, radius=2.0):
@@ -160,9 +160,8 @@ def test_stack_failures_leave_the_other_members_unchanged():
     ])
     specs = [KernelSpec(alpha=a) for a in (0.7, 1.0, 1.2, 1.6)]
     config = EvolveConfig(steps=8)
-    end_q, end_p, failures, _ = integrator._evolve_stack(
-        specs[0], kernels._constants(specs, [0.0] * 4), q, p, config
-    )
+    k = particles._constants([SystemSpec(kernel=s) for s in specs])
+    end_q, end_p, failures, _ = integrator._evolve_stack(specs[0], k, q, p, config)
     assert sorted(failures) == [1, 2]
     for b, spec in enumerate(specs):
         run = lambda: evolve(SystemSpec(kernel=spec), ParticleState(q[b], p[b]), config)
@@ -205,9 +204,8 @@ def test_fused_loop_equals_a_two_array_rk4(n):
     for family in KernelFamily:
         specs = [KernelSpec(family=family, nu=2.5, alpha=a) for a in (0.6, 1.0, 1.7)]
         for sigma2 in (0.0, 0.3):
-            end_q, end_p, failures, frames = integrator._evolve_stack(
-                specs[0], kernels._constants(specs, [sigma2] * 3), q, p, config
-            )
+            k = particles._constants([SystemSpec(kernel=s, sigma2=sigma2) for s in specs])
+            end_q, end_p, failures, frames = integrator._evolve_stack(specs[0], k, q, p, config)
             assert failures == {}
             for b, spec in enumerate(specs):
                 want = _two_array_rk4(SystemSpec(kernel=spec, sigma2=sigma2), q[b], p[b], config)
@@ -230,11 +228,26 @@ def test_a_non_finite_member_does_not_hide_a_clash():
     q[1, 3], p[1, 3] = q[1, 1], p[1, 1]
     specs = [KernelSpec(alpha=a) for a in (0.6, 1.0, 1.7)]
     config = EvolveConfig(steps=8)
-    _, _, failures, _ = integrator._evolve_stack(
-        specs[0], kernels._constants(specs, [0.0] * 3), q, p, config
-    )
+    k = particles._constants([SystemSpec(kernel=s) for s in specs])
+    _, _, failures, _ = integrator._evolve_stack(specs[0], k, q, p, config)
     assert sorted(failures) == [0, 1]
     assert isinstance(failures[0], DivergenceError)
     with pytest.raises(DegenerateConfigurationError) as err:
         evolve(SystemSpec(kernel=specs[1]), ParticleState(q[1], p[1]), config)
     assert str(failures[1]) == str(err.value)
+
+
+def test_gaussian_system_stays_finite_where_distances_overflow():
+    """On a radius-1e308 circle every pair is too far apart to interact:
+    under the gaussian kernel, as under the conical one, dq = p and
+    dp = 0, and a 5-step evolve only drifts each particle along its
+    momentum, with no DivergenceError."""
+    state = ParticleState(circle(1e308, n=8).points, np.full((8, 2), 0.1))
+    for family in ("conical", "gaussian"):
+        spec = SystemSpec(kernel=KernelSpec(family=family, alpha=0.7))
+        # Outside the RK4 loop, rhs's pairwise distances overflow openly.
+        with np.errstate(over="ignore"):
+            dq, dp = rhs(spec, state)
+        assert np.array_equal(dq, state.p) and np.array_equal(dp, np.zeros((8, 2)))
+        end = evolve(spec, state, EvolveConfig(steps=5)).final
+        assert np.isfinite(end.q).all() and np.array_equal(end.p, state.p)

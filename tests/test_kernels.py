@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -131,6 +133,41 @@ def test_gaussian_value():
     assert kernel_value(spec, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
 
 
+def test_gaussian_slope_is_zero_where_r_over_alpha2_overflows():
+    """Past r = 1.8e308 alpha^2, r / alpha^2 overflows while the value has
+    underflowed to 0; the slope is 0 there, not inf * 0 = NaN, and
+    nothing warns."""
+    radii = np.array([1e308, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for normalized in (True, False):
+            spec = KernelSpec(family="gaussian", alpha=0.7, normalized=normalized)
+            assert kernel_derivative(spec, 1e308) == 0.0
+            assert np.array_equal(kernel_value(spec, radii), np.zeros(2))
+            assert np.array_equal(kernel_derivative(spec, radii), np.zeros(2))
+
+
+def test_spec_keeps_its_constants_outside_its_fields():
+    """A spec computes its evaluation constants once, when it is built.
+    A replaced or unpickled spec carries the constants of a fresh spec
+    with the same fields, and the stored constants take no part in
+    equality, hash, repr or asdict, so a spec still keys a cache."""
+    for family, nu in (("conical", 1.5), ("gaussian", 1.5), ("bessel", 2.5)):
+        fields = {"family": KernelFamily(family), "nu": nu, "alpha": 0.8, "normalized": False}
+        spec = KernelSpec(**fields)
+        assert spec._k[2] == kernel_value(spec, 0.0)  # G(0)
+        wider = dataclasses.replace(spec, alpha=1.3)
+        assert wider._k == KernelSpec(**{**fields, "alpha": 1.3})._k != spec._k
+        again = pickle.loads(pickle.dumps(spec))
+        assert again._k == spec._k
+        assert again == spec and hash(again) == hash(spec)
+        assert {spec: "gram"}[KernelSpec(**fields)] == "gram"
+        assert dataclasses.asdict(spec) == fields
+        assert repr(spec) == (
+            f"KernelSpec(family={KernelFamily(family)!r}, nu={nu}, alpha=0.8, normalized=False)"
+        )
+
+
 def _fd_derivative(spec, r):
     # Richardson-extrapolated central difference, O(step^4).
     step = 1e-4 * max(1.0, r)
@@ -253,6 +290,18 @@ def test_gram_rejects_coincident_points():
     with mock.patch.object(kernels, "_BLOCK_ENTRIES", 2 * 6):
         with pytest.raises(DegenerateConfigurationError, match="points 3 and 5"):
             gram_matrix(KernelSpec(), pts)
+
+
+def test_gram_matrix_of_points_near_the_float_limit():
+    """Distances between coordinates near 1e308 overflow to inf, where
+    every family's G is 0: the Gram matrix of a radius-1e308 circle is
+    the identity, and nothing warns."""
+    pts = circle(1e308, n=8).points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in KernelFamily:
+            kmat = gram_matrix(KernelSpec(family=family, nu=2.5, alpha=0.7), pts)
+            np.testing.assert_array_equal(kmat, np.eye(8))
 
 
 def test_gram_mirrors_upper_blocks_bit_for_bit():

@@ -570,9 +570,8 @@ def _stacked_rhs(specs, sigma2, q, p):
     """One stacked _rhs call; ``sigma2`` is one value for every member or
     a list of one per member."""
     sigma2s = sigma2 if isinstance(sigma2, list) else [sigma2] * len(specs)
-    d, clashes = particles._rhs(
-        specs[0], particles._stack(q, p), kernels._constants(specs, sigma2s)
-    )
+    systems = [SystemSpec(kernel=s, sigma2=g) for s, g in zip(specs, sigma2s)]
+    d, clashes = particles._rhs(specs[0], particles._stack(q, p), particles._constants(systems))
     return d[0], d[1], clashes
 
 

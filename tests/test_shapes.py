@@ -220,6 +220,7 @@ def test_template_rejects_coincident_landmarks():
         (lambda: square(1e-320, n=8), "square(side=1e-320, n=8)"),
         (lambda: circle(1e-320, n=8), "circle(radius=1e-320"),
         (lambda: circle(1e308, (1e308, 0.0), n=8), "circle(radius=1e+308, center=(1e+308"),
+        (lambda: square(1e308, n=8), "square(side=1e+308, n=8)"),
         (lambda: ellipse_rot_shift(1e308, 1.0, 0.0, (1e308, 0.0), n=8), "ellipse_rot_shift("),
         (lambda: standard_rotated_ellipse(1e-320, 1e-320, 0.0, n=8),
          "standard_rotated_ellipse("),
@@ -227,13 +228,25 @@ def test_template_rejects_coincident_landmarks():
          "circle_ellipse_hybrid("),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_generator_parameters_giving_bad_landmarks_are_configuration_errors(make, names):
     """Parameters in range whose landmarks coincide or overflow are bad
-    input: ConfigurationError naming the generator and its parameters."""
-    with np.errstate(all="ignore"), pytest.raises(ConfigurationError) as exc:
+    input: ConfigurationError naming the generator and its parameters,
+    with no numpy warning on the way."""
+    with pytest.raises(ConfigurationError) as exc:
         make()
     assert str(exc.value).startswith(names)
     assert "invalid template points" in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_landmarks_near_the_float_limit_make_a_valid_template():
+    """Distances between coordinates near 1e308 overflow to inf in the
+    coincidence scan, which is no coincidence: the template is valid and
+    nothing warns."""
+    pts = 1e308 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert LandmarkTemplate(pts).n == 4
+    assert circle(1e308, n=8).n == 8
 
 
 def test_template_accessors():
