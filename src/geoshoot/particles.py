@@ -221,10 +221,13 @@ def rhs(spec: SystemSpec, state: ParticleState) -> tuple[np.ndarray, np.ndarray]
 
     The result does not depend on the memory layout of ``state.q`` and
     ``state.p``: they are copied into one C-ordered state first.
+    Coordinates near the float limit print no numpy warning: their
+    distances overflow to inf, where every kernel is 0.
     """
-    d, clashes = _rhs(
-        spec.kernel, _stack(state.q[None], state.p[None]), _constants([spec])
-    )
+    with np.errstate(over="ignore"):
+        d, clashes = _rhs(
+            spec.kernel, _stack(state.q[None], state.p[None]), _constants([spec])
+        )
     if clashes:
         raise clashes[0]
     return d[0, 0], d[1, 0]
@@ -253,15 +256,17 @@ def velocity_field(spec: SystemSpec, state: ParticleState, x) -> np.ndarray:
     """Kernel-reconstructed velocity u(x) = sum_j G(|x - q_j|) p_j.
 
     ``x`` may be a single 2-vector or an (M, 2) batch of finite sample
-    points; anything else raises ValueError.
+    points; anything else raises ValueError.  Distances that overflow
+    to inf print no numpy warning: every kernel is 0 there.
     """
     x_arr = np.asarray(x, dtype=float)
     single = x_arr.ndim == 1
     pts = as_points(np.atleast_2d(x_arr), "x")
     u = np.empty_like(pts)
-    for s, e in _plan(len(pts), state.n)[0]:
-        dist = pairwise_distances(pts[s:e], state.q)
-        u[s:e] = _kernel_terms(spec.kernel, dist)[0] @ state.p
+    with np.errstate(over="ignore"):
+        for s, e in _plan(len(pts), state.n)[0]:
+            dist = pairwise_distances(pts[s:e], state.q)
+            u[s:e] = _kernel_terms(spec.kernel, dist)[0] @ state.p
     return u[0] if single else u
 
 

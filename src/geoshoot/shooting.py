@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
 
+from . import _lapack
 from .errors import (
     ConfigurationError,
     DegenerateConfigurationError,
@@ -144,7 +143,9 @@ class _GramSolver:
     matrix, is K itself: LAPACK factors it where it lies, with no copy.
     K is finite by construction (finite points, kernel constants
     validated by :class:`~geoshoot.kernels.KernelSpec`), so neither the
-    factor nor the solve rescans it for NaN or inf.
+    factor nor the solve rescans it for NaN or inf.  The factor runs on
+    one OpenBLAS thread (see :mod:`geoshoot._lapack`), so its bits do
+    not depend on the BLAS thread count.
 
     ``condition`` is LAPACK's estimate of the 1-norm condition number
     (``dpocon`` on the Cholesky factor), not an exact value: it costs
@@ -160,18 +161,17 @@ class _GramSolver:
         # The largest column sum: every kernel value is >= 0, so this is
         # np.linalg.norm(k, 1) bit for bit, without its abs temporary.
         self._norm1 = np.add.reduce(k, axis=0).max()
-        try:
-            self._factor = cho_factor(
-                k.T, lower=True, overwrite_a=True, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
+        self._factor = k.T
+        info = _lapack.dpotrf(self._factor)
+        if info > 0:
             raise DegenerateConfigurationError(
-                f"kernel Gram matrix is not positive definite: {exc}"
-            ) from exc
+                f"kernel Gram matrix is not positive definite: {info}-th leading "
+                "minor of the array is not positive definite"
+            )
 
     @functools.cached_property
     def condition(self) -> float:
-        rcond, _ = dpocon(self._factor[0], self._norm1, uplo="L")
+        rcond = _lapack.dpocon(self._factor, self._norm1)
         return 1.0 / rcond if rcond > 0 else math.inf
 
     def warnings(self) -> tuple:
@@ -185,7 +185,7 @@ class _GramSolver:
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         # (K (x) I2) p = u decouples into one solve per coordinate.
-        return cho_solve(self._factor, u, check_finite=False)
+        return _lapack.dpotrs(self._factor, u)
 
 
 def momenta_from_velocity(kernel: KernelSpec, q0, u0) -> np.ndarray:

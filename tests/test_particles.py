@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -625,3 +626,20 @@ def test_stacked_rhs_reports_a_clashing_member_alone(budget):
         for b in (0, 2):
             alone = rhs(SystemSpec(kernel=specs[b]), ParticleState(q[b], p[b]))
             assert np.array_equal(dq[b], alone[0]) and np.array_equal(dp[b], alone[1])
+
+
+def test_public_rhs_and_energy_print_no_warning_near_the_float_limit():
+    """Distances between coordinates near the float limit overflow to
+    inf, where the kernel is 0, so K is the identity: dq = p, dp = 0,
+    u(q) = p and H = sum |p_i|^2, with no numpy warning."""
+    q = circle(1e308, n=8).points
+    state, spec = ParticleState(q, np.full_like(q, 0.1)), SystemSpec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dq, dp = rhs(spec, state)
+        energy = hamiltonian(spec, state)
+        u = velocity_field(spec, state, q)
+    assert np.array_equal(dq, state.p)
+    assert np.array_equal(dp, np.zeros_like(q))
+    assert energy == pytest.approx(0.16)
+    assert np.array_equal(u, state.p)

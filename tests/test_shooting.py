@@ -1,7 +1,12 @@
 """Feedback matching loop, Newton baseline, and their diagnostics."""
 
+import contextlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +36,7 @@ from geoshoot import (
     momenta_from_velocity,
     newton_match,
 )
-from geoshoot import shooting
+from geoshoot import _lapack, shooting
 from geoshoot.shooting import _GramSolver
 
 # Small pair used throughout: a circle pulled onto a slightly shifted,
@@ -384,17 +389,24 @@ def _jittered_grid(n: int) -> np.ndarray:
     return grid + 0.05 * np.random.default_rng(n).normal(size=grid.shape)
 
 
+def _one_blas_thread():
+    """Runs scipy's own LAPACK calls on the one OpenBLAS thread that
+    geoshoot's factor uses (nothing to pin without the bundled library)."""
+    return _lapack._one_thread() if _lapack._LIB is not None else contextlib.nullcontext()
+
+
 @pytest.mark.parametrize("n", [6, 64, 300, 1024])
 @pytest.mark.parametrize("family", list(KernelFamily))
 def test_gram_solver_equals_the_copied_factor_and_solve(family, n):
     """The in-place factor of K.T, solved without a finiteness scan,
-    gives the bits of a plain factor of a copy of K; the lazy condition
-    estimate is the eager one from K's 1-norm."""
+    gives the bits of a plain one-thread factor of a copy of K; the lazy
+    condition estimate is the eager one from K's 1-norm."""
     spec = KernelSpec(family=family, nu=2.5)
     q = _jittered_grid(n)
     u = np.random.default_rng(n + 1).normal(size=(n, 2))
     k = gram_matrix(spec, q)
-    factor = cho_factor(k, lower=True)
+    with _one_blas_thread():
+        factor = cho_factor(k, lower=True)
     solver = _GramSolver(spec, q)
     assert np.array_equal(solver.solve(u), cho_solve(factor, u))
     norm1 = np.linalg.norm(k, 1)
@@ -406,17 +418,104 @@ def test_gram_solver_equals_the_copied_factor_and_solve(family, n):
     assert solver.condition == pytest.approx(1.0 / rcond, rel=1e-13)
 
 
+NEEDS_BUNDLED_LAPACK = pytest.mark.skipif(
+    _lapack._LIB is None, reason="scipy bundles no OpenBLAS here: the unpinned fallback runs"
+)
+
+
+@NEEDS_BUNDLED_LAPACK
+@pytest.mark.parametrize("n", [6, 200, 1024])
+@pytest.mark.parametrize("family", list(KernelFamily))
+def test_bundled_lapack_equals_the_scipy_fallback(family, n):
+    """The ctypes binding and scipy.linalg.lapack's routines, the binding's
+    fallback, give the same factor and solve bits, and the condition
+    estimate up to dpocon's workspace ulp."""
+    spec = KernelSpec(family=family, nu=2.5)
+    q = _jittered_grid(n)
+    u = np.random.default_rng(n + 1).normal(size=(n, 2))
+    potrf, potrs, pocon = _lapack._scipy_routines()
+    bundled, fallback = gram_matrix(spec, q).T, gram_matrix(spec, q).T
+    norm1 = np.linalg.norm(bundled, 1)
+    assert _lapack.dpotrf(bundled) == 0
+    with _one_blas_thread():
+        assert potrf(fallback) == 0
+    assert np.array_equal(np.tril(bundled), np.tril(fallback))
+    assert np.array_equal(_lapack.dpotrs(bundled, u), potrs(fallback, u))
+    assert _lapack.dpocon(bundled, norm1) == pytest.approx(pocon(fallback, norm1), rel=1e-13)
+
+
+@NEEDS_BUNDLED_LAPACK
+def test_bundled_lapack_and_the_fallback_name_the_same_leading_minor(monkeypatch):
+    spec = KernelSpec(family="gaussian", alpha=5.0)
+    q = circle(2.0, n=32).points
+    text = "kernel Gram matrix is not positive definite: 15-th leading minor of the array is not positive definite"
+    with pytest.raises(DegenerateConfigurationError) as bundled:
+        _GramSolver(spec, q)
+    for name, routine in zip(("dpotrf", "dpotrs", "dpocon"), _lapack._scipy_routines()):
+        monkeypatch.setattr(_lapack, name, routine)
+    with _one_blas_thread(), pytest.raises(DegenerateConfigurationError) as fallback:
+        _GramSolver(spec, q)
+    assert str(bundled.value) == str(fallback.value) == text
+
+
+def _run_python(code: str, **env) -> str:
+    """stdout of ``code`` run by a fresh interpreter that finds geoshoot."""
+    src = str(Path(shooting.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@NEEDS_BUNDLED_LAPACK
+def test_matching_imports_neither_scipy_linalg_nor_scipy_special(tmp_path):
+    """import geoshoot, a conical match and a CLI match load no
+    scipy.linalg (the factor binds LAPACK directly) and no scipy.special
+    (only bessel kernels need it)."""
+    _run_python("\n".join([
+        "import sys",
+        "from geoshoot import ShootingConfig, circle, cli, match",
+        "from geoshoot.io import save_template",
+        "assert match(circle(1.0, n=6), circle(1.3, n=6), ShootingConfig(h=0.5)).converged",
+        f"ref, tgt = {str(tmp_path / 'ref.json')!r}, {str(tmp_path / 'tgt.json')!r}",
+        "save_template(circle(1.0, n=8), ref)",
+        "save_template(circle(1.3, n=8), tgt)",
+        f"assert cli.main(['match', ref, tgt, '--out', {str(tmp_path / 'out')!r}]) == 0",
+        "loaded = sorted({'scipy.linalg', 'scipy.special'} & set(sys.modules))",
+        "assert not loaded, loaded",
+    ]))
+
+
+@NEEDS_BUNDLED_LAPACK
+def test_momenta_recovery_bits_do_not_depend_on_the_blas_thread_count():
+    """The threaded factor rounds differently from one thread at these N;
+    the factor's one-thread pin makes two threads give one thread's bits."""
+    code = "\n".join([
+        "import hashlib",
+        "from geoshoot import KernelSpec, circle, heart4, momenta_from_velocity",
+        "for n in (200, 1024):",
+        "    q, t = circle(1.0, n=n).points, heart4(n=n).points",
+        "    p = momenta_from_velocity(KernelSpec(), q, 0.5 * (t - q))",
+        "    print(n, hashlib.sha256(p.tobytes()).hexdigest())",
+    ])
+    one, two = (_run_python(code, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one == two
+
+
 @pytest.fixture()
 def condition_estimates(monkeypatch):
-    """A one-item list counting the dpocon calls of the shooting module."""
+    """A one-item list counting the condition estimates (dpocon calls)."""
     count = [0]
-    estimate = shooting.dpocon
+    estimate = _lapack.dpocon
 
     def counted_dpocon(*args, **kwargs):
         count[0] += 1
         return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(shooting, "dpocon", counted_dpocon)
+    monkeypatch.setattr(_lapack, "dpocon", counted_dpocon)
     return count
 
 
