@@ -15,6 +15,7 @@ path that cannot be created or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import shlex
 import sys
@@ -365,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--alpha2", type=float, nargs="+",
-                   default=[0.2, 0.4, 0.6, 0.8, 1.0])
+                   default=(0.2, 0.4, 0.6, 0.8, 1.0))
     p.add_argument("--h-values", type=float, nargs="+",
-                   default=[0.2, 0.4, 0.6, 0.8, 1.0])
+                   default=(0.2, 0.4, 0.6, 0.8, 1.0))
     p.add_argument("--reference", default=None,
                    help="template JSON (default: built-in circle)")
     p.add_argument("--target", default=None,
@@ -378,9 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses: argparse keeps no state
+    between parses, and each parse gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         _check_out(args.out)

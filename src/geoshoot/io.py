@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -207,6 +206,8 @@ def config_echo(cfg: ShootingConfig) -> dict:
 
 
 def sha256_digest(path) -> str:
+    import hashlib  # here, not at load: its OpenSSL adds 3.5 MB of peak memory
+
     digest = hashlib.sha256()
     with Path(path).open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -28,6 +28,14 @@ def pair(tmp_path):
     return ref, tgt
 
 
+def _fresh_cli(argv, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI run by a fresh interpreter that finds this geoshoot."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "geoshoot.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120, **kwargs)
+
+
 def test_shapes_writes_template_and_manifest(tmp_path, capsys):
     out = tmp_path / "c.json"
     code = main(["shapes", "circle", "--radius", "2", "--n", "16", "--out", str(out)])
@@ -176,13 +184,7 @@ def test_diverged_match_prints_no_numpy_warning(tmp_path, pair):
     ref, _ = pair
     large = tmp_path / "large.json"
     save_template(circle(2.5, n=8), large)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "geoshoot.cli", "match", str(ref), str(large),
-         "--h", "1e300", "--out", str(tmp_path / "run")],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
-        capture_output=True, text=True, timeout=120,
-    )
+    done = _fresh_cli(["match", ref, large, "--h", "1e300", "--out", tmp_path / "run"])
     assert done.returncode == 1, done.stderr
     assert "step too large" in done.stdout
     assert "RuntimeWarning" not in done.stderr
@@ -194,8 +196,6 @@ def test_overflowing_gain_diverges_without_traceback(tmp_path, pair):
     ref, _ = pair
     large = tmp_path / "large.json"
     save_template(circle(10.0, n=8), large)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     runs = [
         ["match", str(ref), str(large), "--h", "1e308", "--out", str(tmp_path / "run")],
         ["sweep", "--reference", str(ref), "--target", str(large), "--alpha2", "1",
@@ -203,8 +203,7 @@ def test_overflowing_gain_diverges_without_traceback(tmp_path, pair):
     ]
     codes = []
     for argv in runs:
-        done = subprocess.run([sys.executable, "-m", "geoshoot.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = _fresh_cli(argv)
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr, done.stderr
         codes.append((done.returncode, done.stdout))
     assert codes[0][0] == 1 and "step too large (non-finite update)" in codes[0][1]
@@ -241,12 +240,7 @@ def test_shapes_near_the_float_limit_print_no_numpy_warning(tmp_path, argv, code
     """A square of side 1e308 overflows in its generator and is bad input;
     a circle of radius 1e308 is a valid template whose distances overflow.
     Neither prints a numpy warning, in a fresh interpreter."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "geoshoot.cli", "shapes", *argv, "--out", str(tmp_path / "s.json")],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
-        capture_output=True, text=True, timeout=120,
-    )
+    done = _fresh_cli(["shapes", *argv, "--out", tmp_path / "s.json"])
     assert done.returncode == code, done.stderr
     if error is None:
         assert done.stderr == ""
@@ -430,6 +424,56 @@ def test_unusable_output_path_exits_2(tmp_path, pair, capsys, command):
         argv = ["match", str(ref), str(tgt), *QUICK, "--out", str(taken)]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _run_files(out: Path) -> dict:
+    """A run's output files by name; manifests without their wall time."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "manifest.json":
+            doc = json.loads(path.read_text())
+            del doc["wall_time_s"]
+            files[path.name] = doc
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_consecutive_main_calls_write_what_lone_runs_write(tmp_path, monkeypatch):
+    """``main`` parses with one parser per process: each call of a
+    sequence writes the files the same call writes alone in a fresh
+    interpreter, so no flag or default of one call reaches the next."""
+    small = ["--n", "8", "--h-values", "0.8", "--tol", "1e-3", "--max-iter", "60"]
+    runs = {
+        "sweep-alpha2": ["sweep", *small, "--alpha2", "0.5", "1.5"],
+        "sweep-default": ["sweep", *small],
+        "match-no-normalized": ["match", "ref.json", "tgt.json", *QUICK, "--no-normalized"],
+        "match-default": ["match", "ref.json", "tgt.json", *QUICK],
+    }
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    for cwd in (together, alone):
+        cwd.mkdir()
+        save_template(circle(1.0, n=8, label="c"), cwd / "ref.json")
+        save_template(ellipse_rot_shift(1.3, 0.9, 0.0, (0.1, 0.0), n=8, label="e"),
+                      cwd / "tgt.json")
+
+    for name, argv in runs.items():
+        done = _fresh_cli([*argv, "--out", name], cwd=alone)
+        assert done.returncode == 0, done.stderr
+
+    monkeypatch.chdir(together)
+    parser = cli._parser()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, argv in runs.items():
+            assert main([*argv, "--out", name]) == 0
+    assert cli._parser() is parser
+    assert cli.build_parser() is not cli.build_parser()
+    for name in runs:
+        assert _run_files(together / name) == _run_files(alone / name), name
+    # Each flag changes its run's files, so a leaked flag would show above.
+    for first, second in (("sweep-alpha2", "sweep-default"),
+                          ("match-no-normalized", "match-default")):
+        assert _run_files(together / first) != _run_files(together / second)
 
 
 def test_version_flag(capsys):

@@ -490,6 +490,42 @@ def test_matching_imports_neither_scipy_linalg_nor_scipy_special(tmp_path):
 
 
 @NEEDS_BUNDLED_LAPACK
+def test_only_a_manifest_digest_loads_openssl(tmp_path):
+    """Library runs load no hashlib (OpenSSL); a CLI match loads it for its
+    manifest, whose input digests are the files' SHA-256.  The fallback
+    LAPACK path imports scipy.linalg, which loads hashlib itself."""
+    ref, tgt, out = (str(tmp_path / name) for name in ("ref.json", "tgt.json", "out"))
+    _run_python("\n".join([
+        "import json, sys",
+        "from geoshoot import (EvolveConfig, KernelSpec, ParticleState, ShootingConfig,",
+        "    SweepGrid, SystemSpec, circle, cli, convergence_sweep, evolve, heart4,",
+        "    match, momenta_from_velocity, newton_match)",
+        "from geoshoot.io import save_template",
+        "a, b = circle(1.0, n=6), circle(1.3, n=6)",
+        "assert match(a, b, ShootingConfig(h=0.5)).converged",
+        "assert newton_match(a, b, ShootingConfig(h=1.0)).converged",
+        "grid = SweepGrid((0.5, 1.0), (0.4, 0.8), n_landmarks=6, tolerance=1e-3)",
+        "assert convergence_sweep(a, b, grid).shape == (2, 2)",
+        "q = circle(1.0, n=16).points",
+        "p = momenta_from_velocity(KernelSpec(), q, 0.5 * (heart4(n=16).points - q))",
+        "evolve(SystemSpec(), ParticleState(q, p), EvolveConfig(steps=10))",
+        "loaded = sorted({'hashlib', '_hashlib'} & set(sys.modules))",
+        "assert not loaded, loaded",
+        f"save_template(a, {ref!r})",
+        f"save_template(b, {tgt!r})",
+        f"assert cli.main(['match', {ref!r}, {tgt!r}, '--out', {out!r}]) == 0",
+        "assert {'hashlib', '_hashlib'} <= set(sys.modules)",
+        "import hashlib",
+        f"with open({out!r} + '/manifest.json') as fh:",
+        "    inputs = json.load(fh)['inputs']",
+        "for path, digest in inputs.items():",
+        "    with open(path, 'rb') as fh:",
+        "        assert digest == hashlib.sha256(fh.read()).hexdigest(), path",
+        f"assert sorted(inputs) == sorted([{ref!r}, {tgt!r}]), inputs",
+    ]))
+
+
+@NEEDS_BUNDLED_LAPACK
 def test_momenta_recovery_bits_do_not_depend_on_the_blas_thread_count():
     """The threaded factor rounds differently from one thread at these N;
     the factor's one-thread pin makes two threads give one thread's bits."""
