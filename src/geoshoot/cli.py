@@ -122,12 +122,13 @@ class _Run(NamedTuple):
 
     ``outcome`` goes to the manifest at ``manifest`` and, unless
     ``shown`` replaces it, to stdout; ``ok`` picks exit code 0 or 1.
+    ``inputs`` maps each input path to its digest from :func:`_load`.
     """
 
     outcome: str
     manifest: Path
     config: ShootingConfig | None = None
-    inputs: tuple = ()
+    inputs: dict | None = None
     ok: bool = True
     extras: dict | None = None
     shown: str | None = None
@@ -160,6 +161,13 @@ _SHAPES = {
 }
 
 
+def _load(*paths) -> tuple[list, dict]:
+    """The templates at ``paths`` and their files' SHA-256 digests, taken
+    as they are loaded: an output may replace an input later in the run."""
+    templates = [load_template(p) for p in paths]
+    return templates, {str(p): sha256_digest(p) for p in paths}
+
+
 def _cmd_shapes(args: argparse.Namespace) -> _Run:
     builder, param_names = _SHAPES[args.name]
     template = builder(args)
@@ -177,8 +185,7 @@ def _cmd_shapes(args: argparse.Namespace) -> _Run:
 def _cmd_match(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
     capture = EvolveConfig(cfg.evolve.t_final, cfg.evolve.steps, args.capture_every)
-    reference = load_template(args.reference)
-    target = load_template(args.target)
+    (reference, target), inputs = _load(args.reference, args.target)
 
     result = match(reference, target, cfg)
     out = _out_dir(args)
@@ -199,28 +206,25 @@ def _cmd_match(args: argparse.Namespace) -> _Run:
             result.diagnosis or "no diagnosis"
         )
         print(f"details in {out / 'result.json'}", file=sys.stderr)
-    return _Run(outcome, out / "manifest.json", cfg, (args.reference, args.target),
-                ok=result.converged)
+    return _Run(outcome, out / "manifest.json", cfg, inputs, ok=result.converged)
 
 
 def _cmd_predict(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
-    reference = load_template(args.reference)
-    partial = load_template(args.target_partial)
+    (reference, partial), inputs = _load(args.reference, args.target_partial)
     predicted = predict(reference, partial, args.t_match, args.t_predict, cfg)
     out = _out_dir(args)
     save_template(predicted, out / "predicted.json")
     return _Run(
         f"predicted {predicted.n} landmarks at t = {args.t_predict:g}",
-        out / "manifest.json", cfg, (args.reference, args.target_partial),
+        out / "manifest.json", cfg, inputs,
         extras={"t_match": args.t_match, "t_predict": args.t_predict},
     )
 
 
 def _cmd_distance(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
-    reference = load_template(args.reference)
-    target = load_template(args.target)
+    (reference, target), inputs = _load(args.reference, args.target)
     record = shape_distance(reference, target, cfg)
     out = _out_dir(args)
     save_distance(record, out / "distance.json")
@@ -229,15 +233,12 @@ def _cmd_distance(args: argparse.Namespace) -> _Run:
         if record.converged
         else f"did not converge within {cfg.max_iter} iterations"
     )
-    return _Run(outcome, out / "manifest.json", cfg, (args.reference, args.target),
-                ok=record.converged)
+    return _Run(outcome, out / "manifest.json", cfg, inputs, ok=record.converged)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
-    a = load_template(args.a)
-    b = load_template(args.b)
-    refs = [load_template(p) for p in args.refs]
+    (a, b, *refs), inputs = _load(args.a, args.b, *args.refs)
     verdict = cluster_test(
         a, b, refs,
         {"pair": args.pair_threshold, "ref_diff": args.ref_diff_threshold},
@@ -250,7 +251,7 @@ def _cmd_cluster(args: argparse.Namespace) -> _Run:
     else:
         outcome = f"same_cluster = {verdict.same_cluster}"
     return _Run(
-        outcome, out / "manifest.json", cfg, (args.a, args.b, *args.refs),
+        outcome, out / "manifest.json", cfg, inputs,
         ok=verdict.same_cluster is not None,
         extras={
             "pair_threshold": args.pair_threshold,
@@ -261,11 +262,9 @@ def _cmd_cluster(args: argparse.Namespace) -> _Run:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> _Run:
-    inputs = ()
+    inputs = None
     if args.reference and args.target:
-        reference = load_template(args.reference)
-        target = load_template(args.target)
-        inputs = (args.reference, args.target)
+        (reference, target), inputs = _load(args.reference, args.target)
     elif args.reference or args.target:
         raise ConfigurationError("--reference and --target must be given together")
     else:
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
             command=shlex.join(["geoshoot", *argv]),
             version=__version__,
             config=config_echo(run.config) if run.config is not None else {},
-            inputs={str(p): sha256_digest(p) for p in run.inputs},
+            inputs=run.inputs or {},
             wall_time_s=time.perf_counter() - t0,
             outcome=run.outcome,
             extras=run.extras or {},

@@ -206,9 +206,19 @@ def config_echo(cfg: ShootingConfig) -> dict:
 
 
 def sha256_digest(path) -> str:
-    import hashlib  # here, not at load: its OpenSSL adds 3.5 MB of peak memory
+    # CPython's built-in SHA-256, the one hashlib uses without OpenSSL.
+    # `import hashlib` always loads _hashlib, and with it OpenSSL's 3.5 MB
+    # of peak memory, and no public constructor gives the built-in hash.
+    # Only an interpreter built without the module falls back to hashlib.
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     with Path(path).open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)

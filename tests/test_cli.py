@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, manifests."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -314,6 +315,25 @@ def test_predict_cli(tmp_path, pair):
     assert predicted.label.endswith("@t=1")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extras"]["t_predict"] == 1.0
+
+
+@pytest.mark.parametrize("command, overwritten, flags", [
+    ("predict", "predicted.json", ["--t-match", "0.5", "--t-predict", "1.0"]),
+    ("match", "result.json", []),
+])
+def test_manifest_digests_an_input_as_it_was_before_the_run(
+    tmp_path, pair, monkeypatch, command, overwritten, flags
+):
+    """An input that one of the run's outputs replaces is recorded with
+    the digest of its own bytes, not the output's."""
+    ref, tgt = pair
+    monkeypatch.chdir(tmp_path)
+    ref.rename(overwritten)
+    before = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+              for name in (overwritten, str(tgt))}
+    assert main([command, overwritten, str(tgt), *flags, *QUICK, "--out", "."]) == 0
+    assert hashlib.sha256(Path(overwritten).read_bytes()).hexdigest() != before[overwritten]
+    assert json.loads(Path("manifest.json").read_text())["inputs"] == before
 
 
 def test_distance_cli(tmp_path, pair, capsys):

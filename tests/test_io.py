@@ -1,11 +1,17 @@
 """Serialization round trips and file format pins."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoshoot
 from geoshoot import (
     ConfigurationError,
     EvolveConfig,
@@ -213,3 +219,46 @@ def test_sha256_digest_matches_known_value(tmp_path):
     assert sha256_digest(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+_DIGEST_INPUTS = {
+    "empty": b"",
+    "one-byte": b"\x00",
+    "one-chunk": bytes(range(256)) * 256,
+    "one-chunk-and-a-byte": bytes(range(256)) * 256 + b"\x01",
+    "not-utf8": b"\xff\xfe\x00bad\x80",
+}
+
+
+@pytest.mark.parametrize("name", _DIGEST_INPUTS)
+def test_sha256_digest_equals_hashlib(tmp_path, name):
+    """The built-in hash gives hashlib's digest, at the reader's 65,536-byte
+    chunk boundary too."""
+    data = _DIGEST_INPUTS[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert sha256_digest(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_digest_falls_back_to_hashlib(tmp_path):
+    """An interpreter without CPython's built-in SHA-256 modules digests
+    through hashlib, to the same values."""
+    for name, data in _DIGEST_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    src = str(Path(geoshoot.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import sys",
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None",
+        "from geoshoot.io import sha256_digest",
+        "for path in sys.argv[1:]:",
+        "    print(sha256_digest(path))",
+        "assert '_hashlib' in sys.modules",
+    ])
+    paths = [str(tmp_path / name) for name in _DIGEST_INPUTS]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *paths],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [hashlib.sha256(d).hexdigest() for d in _DIGEST_INPUTS.values()]
