@@ -12,7 +12,8 @@ scalar search length.  The velocity update is converted to momenta
 through the kernel Gram system; a direct momentum-space update is
 available as a cheaper variant.  A finite-difference Newton iteration
 (newton_match) serves as the classical baseline: far fewer iterations,
-but each one costs 2N extra shoots for the Jacobian.
+but each one costs 2N extra shoots for the Jacobian, shot together as
+one lockstep stack.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import _lapack
 from .errors import (
     ConfigurationError,
     DegenerateConfigurationError,
-    DivergenceError,
     require_count,
     require_positive,
 )
@@ -222,28 +222,33 @@ def _shoot(cells: list, ps: list):
     return end, failures
 
 
-def _newton_direction(
-    shoot, x: np.ndarray, endpoint: np.ndarray, residual: np.ndarray
-) -> np.ndarray:
-    """Full Newton step J^-1 r of the endpoint map ``shoot`` at ``x``.
+def _newton_direction(cell: _Cell) -> np.ndarray:
+    """Full Newton step J^-1 r of ``cell``'s endpoint map at its iterate.
 
-    J is built by forward differences off the current endpoint, one
-    shoot per column.  Where J is singular or a probe cannot be
-    evaluated, the residual itself is returned: one feedback update.
+    J is built by forward differences off the current endpoint: the 2N
+    probes, one per column, are shot as one stack, each member rounding
+    as it would alone.  Where a probe cannot be shot, J is singular or
+    the step is not finite, the residual itself is returned: one
+    feedback update.
     """
+    x = cell.x
     step = 1e-5 * max(1.0, float(np.max(np.abs(x))))
-    jac = np.empty((x.size, x.size))
+    ps = []
+    for j in range(x.size):
+        # x + probe, not a bumped copy of x: the sum turns x's -0.0
+        # entries into +0.0, and J's bits depend on that.
+        probe = np.zeros(x.shape)
+        probe.flat[j] = step
+        ps.append(cell.momenta(x + probe))
+    ends, failures = _shoot([cell] * x.size, ps)
+    if failures:
+        return cell.residual
+    jac = ((ends - cell.endpoint) / step).reshape(x.size, x.size).T
     try:
-        for j in range(x.size):
-            probe = np.zeros(x.shape)
-            probe.flat[j] = step
-            jac[:, j] = ((shoot(x + probe) - endpoint) / step).ravel()
-        newton_step = np.linalg.solve(jac, residual.ravel())
-        if not np.all(np.isfinite(newton_step)):
-            raise np.linalg.LinAlgError("non-finite Newton step")
-    except (np.linalg.LinAlgError, DivergenceError, DegenerateConfigurationError):
-        return residual
-    return newton_step.reshape(x.shape)
+        newton_step = np.linalg.solve(jac, cell.residual.ravel())
+    except np.linalg.LinAlgError:
+        return cell.residual
+    return newton_step.reshape(x.shape) if np.isfinite(newton_step).all() else cell.residual
 
 
 class _Cell:
@@ -272,14 +277,6 @@ class _Cell:
     def momenta(self, x: np.ndarray) -> np.ndarray:
         return x if self.solver is None else self.solver.solve(x)
 
-    def probe(self, x: np.ndarray) -> np.ndarray:
-        """Endpoint of this cell's shoot from iterate ``x`` alone; raises
-        the error that ends a failed shoot."""
-        ends, failures = _shoot([self], [self.momenta(x)])
-        if failures:
-            raise failures[0]
-        return ends[0]
-
 
 def _drive(problems: list, newton: bool) -> list:
     """The shooting iteration behind :func:`match`, :func:`newton_match`
@@ -290,13 +287,13 @@ def _drive(problems: list, newton: bool) -> list:
     space: its Gram solve maps it to momenta) or the momenta p
     themselves.  It starts at 0, whose endpoint is q0 without a shoot,
     and moves by the cell's h times a direction: the endpoint residual
-    r, or the Newton step J^-1 r (``newton``, whose finite-difference
-    probes are shot one at a time).  The stopping norm is |r| for an
-    exact system and h * |r| for an inexact one (sigma2 > 0); the latter
-    is the iterate's move only under the feedback update, so Newton
-    takes only exact systems.  Unequal landmark counts, or Newton on an
-    inexact system, raise ConfigurationError for the first such problem
-    before anything runs.
+    r, or the Newton step J^-1 r (``newton``, whose 2N finite-difference
+    probes are shot as one stack of their own).  The stopping norm is
+    |r| for an exact system and h * |r| for an inexact one (sigma2 > 0);
+    the latter is the iterate's move only under the feedback update, so
+    Newton takes only exact systems.  Unequal landmark counts, or Newton
+    on an inexact system, raise ConfigurationError for the first such
+    problem before anything runs.
 
     Each round updates every live cell and shoots them all at once
     through one :func:`~geoshoot.integrator._evolve_stack` call, so the
@@ -306,7 +303,9 @@ def _drive(problems: list, newton: bool) -> list:
     stopping state, and a cell's arithmetic is the same as alone.  A
     cell leaves the stack once it converges, hits its ``max_iter``,
     blows up, goes non-finite or degenerates; the others are not
-    affected.  Returns, per problem, its MatchResult, or the
+    affected.  An update that overflows, or a shoot that goes
+    non-finite or degenerates, leaves the cell at its last iterate that
+    shot cleanly.  Returns, per problem, its MatchResult, or the
     DivergenceError or DegenerateConfigurationError that ended it
     outside its shoots (e.g. a Gram matrix that is not positive
     definite).
@@ -368,14 +367,12 @@ def _drive(problems: list, newton: bool) -> list:
             live.append(cell)
 
     while live:
-        updated = []
+        moves = []
         for cell in live:
             cfg = cell.cfg
             if not cell.exact:
                 cell.value = cfg.h * _norm(cfg.norm, cell.residual)
-            step = cell.residual
-            if newton:
-                step = _newton_direction(cell.probe, cell.x, cell.endpoint, step)
+            step = _newton_direction(cell) if newton else cell.residual
             with np.errstate(over="ignore", invalid="ignore"):
                 x = cell.x + cfg.h * step
                 p = cell.momenta(x)
@@ -384,20 +381,18 @@ def _drive(problems: list, newton: bool) -> list:
             if not np.isfinite(p).all():
                 finish(cell, False, "step too large (non-finite update)")
                 continue
-            cell.x, cell.p = x, p
-            updated.append(cell)
-        live = updated
-        if not live:
+            moves.append((cell, x, p))
+        if not moves:
             break
-        ends, failures = _shoot(live, [c.p for c in live])
-        still = []
-        for b, cell in enumerate(live):
+        ends, failures = _shoot([cell for cell, _, _ in moves], [p for _, _, p in moves])
+        live = []
+        for b, (cell, x, p) in enumerate(moves):
             cfg = cell.cfg
             if b in failures:
-                # cell.endpoint still holds the last finite endpoint.
+                # The cell keeps its last iterate that shot cleanly.
                 finish(cell, False, f"step too large ({failures[b]})")
                 continue
-            cell.endpoint = ends[b]
+            cell.x, cell.p, cell.endpoint = x, p, ends[b]
             cell.residual = cell.goal - cell.endpoint
             if cell.exact:
                 cell.value = _norm(cfg.norm, cell.residual)
@@ -412,8 +407,7 @@ def _drive(problems: list, newton: bool) -> list:
             elif len(cell.history) == cfg.max_iter:
                 finish(cell, False, "iteration cap reached before the stopping rule")
             else:
-                still.append(cell)
-        live = still
+                live.append(cell)
     return results
 
 
@@ -471,11 +465,14 @@ def newton_match(
     """Finite-difference Newton baseline for the same root problem.
 
     Builds the 2N x 2N Jacobian of the endpoint map with forward
-    differences off the current endpoint (one shoot per column), solves
-    for the full Newton step, and damps it by h.  Each iteration
-    therefore costs 2N + 1 evolutions; the point of the comparison is
-    that the feedback loop avoids all of them.  Only exact systems
-    (sigma2 = 0) are supported: Newton stops on the endpoint residual.
+    differences off the current endpoint (one shoot per column, the 2N
+    probes shot as one lockstep stack), solves for the full Newton step,
+    and damps it by h.  Each iteration therefore costs 2N + 1
+    evolutions; the point of the comparison is that the feedback loop
+    avoids all of them.  The probe stack holds the RK4 state of 2N
+    members at once: a Newton iteration at N = 200 peaks at about 24 MB
+    of traced memory.  Only exact systems (sigma2 = 0) are supported:
+    Newton stops on the endpoint residual.
     The iterate is the initial velocity, whatever ``cfg.update_space``.
     """
     velocity = replace(cfg, update_space=UpdateSpace.VELOCITY)

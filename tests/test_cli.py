@@ -180,8 +180,8 @@ def test_singular_gram_exits_1(tmp_path, capsys):
 
 
 def test_diverged_match_prints_no_numpy_warning(tmp_path, pair):
-    # A gain of 1e300 overflows the first shoot and the Hamiltonian of
-    # its momenta; both overflows are expected and must stay silent.
+    # A gain of 1e300 overflows the first shoot, an expected overflow
+    # that must stay silent.
     ref, _ = pair
     large = tmp_path / "large.json"
     save_template(circle(2.5, n=8), large)
@@ -211,6 +211,25 @@ def test_overflowing_gain_diverges_without_traceback(tmp_path, pair):
     assert codes[1][0] == 0 and "1 diverged" in codes[1][1]
     rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert rows[2].endswith(",,false")
+
+
+def test_diverged_shoot_replays_the_last_clean_iterate(tmp_path, capsys):
+    # A gain of 1e100 sends the first shoot non-finite.  The match keeps
+    # its start p = 0, so the captured replay of p0 runs cleanly and the
+    # run writes every output, its manifest and the trajectory included.
+    ref, tgt, out = tmp_path / "c8.json", tmp_path / "c8x.json", tmp_path / "run"
+    save_template(circle(2.0, n=8), ref)
+    save_template(circle(10.0, n=8), tgt)
+    code = main(["match", str(ref), str(tgt), "--h", "1e100", "--capture-every", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "failed after 0 iterations: step too large (non-finite state" in captured.out
+    assert "error:" not in captured.err
+    for name in ("result.json", "residuals.csv", "manifest.json", "trajectory.csv", "frames.svg"):
+        assert (out / name).exists(), name
+    result = json.loads((out / "result.json").read_text())
+    assert result["p0"] == [[0.0, 0.0]] * 8 and result["H"] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from geoshoot import (
     EvolveConfig,
     KernelFamily,
     KernelSpec,
+    ParticleState,
     PlanarIsometry,
     ResidualNorm,
     ShootingConfig,
@@ -30,6 +31,7 @@ from geoshoot import (
     circle,
     contraction_diagnostics,
     ellipse_rot_shift,
+    evolve,
     gram_matrix,
     heart4,
     match,
@@ -139,20 +141,76 @@ def test_gram_that_is_not_positive_definite_raises(solve):
         solve(circle(2.0, n=32), heart4(32), cfg)
 
 
-def _unreachable_probe(x):
-    raise DivergenceError("non-finite state at step 1")
+def _newton_cell(n: int, steps: int = 3):
+    """A velocity-space cell of circle(2) -> heart4 at N = ``n``, moved to
+    the iterate x = 0.3 (target - reference), with that iterate's endpoint
+    and residual, on a short time grid."""
+    ref, tgt = circle(2.0, n=n), heart4(n)
+    cfg = ShootingConfig(h=1.0, evolve=EvolveConfig(steps=steps))
+    cell = shooting._Cell(0, ref, tgt, cfg, _GramSolver(cfg.system.kernel, ref.points))
+    cell.x = 0.3 * (tgt.points - ref.points)
+    cell.p = cell.momenta(cell.x)
+    cell.endpoint = evolve(cfg.system, ParticleState(ref.points, cell.p), cfg.evolve).final.q
+    cell.residual = cell.goal - cell.endpoint
+    return cell
+
+
+@pytest.mark.parametrize("n", [6, 30, 200])
+def test_newton_direction_is_the_step_of_lone_probe_shoots(n, shoots):
+    """The 2N probes, shot as one stack, give the bits of J^-1 r with J
+    built column by column from lone shoots: at N = 6 (one member chunk),
+    N = 30 (two chunks) and N = 200 (two row blocks, one member a chunk)."""
+    cell = _newton_cell(n)
+    x = cell.x
+    step = 1e-5 * max(1.0, float(np.max(np.abs(x))))
+    jac = np.empty((x.size, x.size))
+    for j in range(x.size):
+        probe = np.zeros(x.shape)
+        probe.flat[j] = step
+        state = ParticleState(cell.q0, cell.momenta(x + probe))
+        end = evolve(cell.cfg.system, state, cell.cfg.evolve).final.q
+        jac[:, j] = ((end - cell.endpoint) / step).ravel()
+    lone = np.linalg.solve(jac, cell.residual.ravel()).reshape(x.shape)
+    stacked = shooting._newton_direction(cell)
+    assert shoots[0] == 2 * n
+    assert stacked.tobytes() == lone.tobytes()
+
+
+def _failing(members):
+    """A stand-in for shooting._shoot whose members ``members(B)`` fail."""
+    shoot = shooting._shoot
+
+    def failing_shoot(cells, ps):
+        ends, failures = shoot(cells, ps)
+        return ends, {b: DivergenceError("non-finite state at step 1") for b in members(len(ps))}
+
+    return failing_shoot
+
+
+def _unmoved(cells, ps):
+    """A stand-in for shooting._shoot whose endpoints do not move: J = 0."""
+    return np.stack([cells[0].endpoint] * len(ps)), {}
 
 
 @pytest.mark.parametrize(
-    "shoot", [_unreachable_probe, lambda x: TGT.points], ids=["diverging", "singular"]
+    "shoot",
+    [_failing(range), _failing(lambda size: [size - 1]), _unmoved],
+    ids=["diverging", "one-member-fails", "singular"],
 )
-def test_newton_direction_falls_back_to_the_residual(shoot):
-    # A probe that cannot be shot, or an endpoint that does not move
-    # (J = 0), turns the Newton step into one feedback update.
-    x = np.ones((8, 2))
-    residual = TGT.points - REF.points
-    step = shooting._newton_direction(shoot, x, TGT.points, residual)
-    assert step is residual
+def test_newton_direction_falls_back_to_the_residual(shoot, monkeypatch):
+    # Probes that cannot be shot, a single probe of the stack that cannot,
+    # or an endpoint that does not move (J = 0) turn the Newton step into
+    # one feedback update.
+    calls = []
+
+    def spied_shoot(cells, ps):
+        calls.append(len(ps))
+        return shoot(cells, ps)
+
+    monkeypatch.setattr(shooting, "_shoot", spied_shoot)
+    cell = _newton_cell(8)
+    assert shooting._newton_direction(cell) is cell.residual
+    assert calls == [2 * 8]
 
 
 def test_momenta_velocity_round_trip():
@@ -275,6 +333,23 @@ def test_overflowing_update_ends_the_match_before_its_shoot(solve, space, shoots
     assert result.final_residual == 8.0
     assert result.hamiltonian == 0.0
     assert shoots[0] == (2 * 8 if solve is newton_match else 0)
+
+
+@pytest.mark.parametrize("solve", [match, newton_match])
+def test_failed_shoot_keeps_the_last_iterate_that_shot_cleanly(solve):
+    """A gain so large that the first shoot goes non-finite ends the match
+    as diverged with the start p = 0 and its endpoint, the reference: p0,
+    H and the final template all belong to the one iterate."""
+    ref = circle(2.0, n=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve(ref, heart4(16), ShootingConfig(h=1e100))
+    assert not result.converged
+    assert result.diagnosis.startswith("step too large (non-finite state at step 1 ")
+    assert result.iterations == 0 and result.residual_history == ()
+    np.testing.assert_array_equal(result.p0, np.zeros((16, 2)))
+    np.testing.assert_array_equal(result.final_template.points, ref.points)
+    assert result.hamiltonian == 0.0
 
 
 @pytest.mark.parametrize("solve", [match, newton_match])
