@@ -271,11 +271,16 @@ class _Cell:
         self.x = self.p = np.zeros(self.q0.shape)
         self.endpoint = self.q0
         self.residual = self.goal - self.q0
-        self.initial = self.value = None
+        self.initial = self.stopping_norm(self.residual)
         self.history = []
 
     def momenta(self, x: np.ndarray) -> np.ndarray:
         return x if self.solver is None else self.solver.solve(x)
+
+    def stopping_norm(self, residual: np.ndarray) -> float:
+        """|r| for an exact system, h * |r| for an inexact one."""
+        norm = _norm(self.cfg.norm, residual)
+        return norm if self.exact else self.cfg.h * norm
 
 
 def _drive(problems: list, newton: bool) -> list:
@@ -306,9 +311,8 @@ def _drive(problems: list, newton: bool) -> list:
     affected.  An update that overflows, or a shoot that goes
     non-finite or degenerates, leaves the cell at its last iterate that
     shot cleanly.  Returns, per problem, its MatchResult, or the
-    DivergenceError or DegenerateConfigurationError that ended it
-    outside its shoots (e.g. a Gram matrix that is not positive
-    definite).
+    DegenerateConfigurationError that ended it outside its shoots (e.g.
+    a Gram matrix that is not positive definite).
     """
     for reference, target, cfg in problems:
         if reference.n != target.n:
@@ -358,9 +362,6 @@ def _drive(problems: list, newton: bool) -> list:
                 results[i] = solver
                 continue
         cell = _Cell(i, reference, target, cfg, solver)
-        cell.initial = _norm(cfg.norm, cell.residual)
-        if not cell.exact:
-            cell.initial *= cfg.h
         if cell.initial < cfg.epsilon:
             finish(cell, True)
         else:
@@ -370,8 +371,6 @@ def _drive(problems: list, newton: bool) -> list:
         moves = []
         for cell in live:
             cfg = cell.cfg
-            if not cell.exact:
-                cell.value = cfg.h * _norm(cfg.norm, cell.residual)
             step = _newton_direction(cell) if newton else cell.residual
             with np.errstate(over="ignore", invalid="ignore"):
                 x = cell.x + cfg.h * step
@@ -392,15 +391,13 @@ def _drive(problems: list, newton: bool) -> list:
                 # The cell keeps its last iterate that shot cleanly.
                 finish(cell, False, f"step too large ({failures[b]})")
                 continue
-            cell.x, cell.p, cell.endpoint = x, p, ends[b]
-            cell.residual = cell.goal - cell.endpoint
-            if cell.exact:
-                cell.value = _norm(cfg.norm, cell.residual)
-            value = cell.value
+            # An inexact cell's move h * |r| is that of the residual it moved by.
+            residual = cell.goal - ends[b]
+            value = cell.stopping_norm(residual if cell.exact else cell.residual)
+            cell.x, cell.p, cell.endpoint, cell.residual = x, p, ends[b], residual
             cell.history.append(value)
 
-            blown_up = cell.initial > 0 and value > _BLOWUP_FACTOR * cell.initial
-            if not math.isfinite(value) or blown_up:
+            if not math.isfinite(value) or value > _BLOWUP_FACTOR * cell.initial:
                 finish(cell, False, "step too large")
             elif value < cfg.epsilon:
                 finish(cell, True)

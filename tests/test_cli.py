@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, manifests."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -35,6 +36,21 @@ def _fresh_cli(argv, **kwargs) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "geoshoot.cli", *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=120, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def shapes8(tmp_path_factory):
+    """Template paths written by ``geoshoot shapes`` at N = 8: c8 and
+    c8-large, circles of radius 2 and 2.5, and s8 and h8, the square and
+    heart4."""
+    root = tmp_path_factory.mktemp("shapes8")
+    argvs = {"c8": ["circle"], "c8-large": ["circle", "--radius", "2.5"],
+             "s8": ["square"], "h8": ["heart4"]}
+    paths = {name: str(root / f"{name}.json") for name in argvs}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, argv in argvs.items():
+            assert main(["shapes", *argv, "--n", "8", "--out", paths[name]]) == 0
+    return paths
 
 
 def test_shapes_writes_template_and_manifest(tmp_path, capsys):
@@ -74,6 +90,24 @@ def test_match_end_to_end(tmp_path, pair, capsys):
     assert manifest["outcome"].startswith("converged")
     assert len(manifest["inputs"]) == 2
     assert manifest["config"]["h"] == 0.5
+
+
+def test_bessel_match_exits_0(tmp_path, shapes8):
+    # A bessel kernel loads scipy.special on first use.
+    code = main(["match", shapes8["c8"], shapes8["c8-large"], "--kernel", "bessel",
+                 "--nu", "2.5", "--out", str(tmp_path / "run")])
+    assert code == 0
+
+
+def test_result_json_carries_the_conditioning_warning(tmp_path):
+    ref, tgt, out = tmp_path / "c16.json", tmp_path / "h16.json", tmp_path / "run"
+    save_template(circle(2.0, n=16), ref)
+    save_template(heart4(16), tgt)
+    code = main(["match", str(ref), str(tgt), "--kernel", "gaussian", "--alpha", "5",
+                 "--max-iter", "3", "--out", str(out)])
+    assert code == 1
+    warnings = json.loads((out / "result.json").read_text())["warnings"]
+    assert warnings[0].startswith("Gram matrix condition number 1.208e+13")
 
 
 def test_match_capture_writes_trajectory(tmp_path, pair):
@@ -122,6 +156,23 @@ def test_bad_template_points_exit_2(tmp_path, pair, capsys, name):
     code = main(["match", str(ref), str(bad), *QUICK, "--out", str(tmp_path / "x")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_coincident_landmarks_in_a_second_row_block_exit_2(tmp_path, capsys):
+    # Landmarks 170 and 190 of heart4(200) both lie in its second upper
+    # row block (rows 163:200).
+    ref, tgt = tmp_path / "c200.json", tmp_path / "h200.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["shapes", "circle", "--n", "200", "--out", str(ref)]) == 0
+        assert main(["shapes", "heart4", "--n", "200", "--out", str(tgt)]) == 0
+    doc = json.loads(tgt.read_text())
+    doc["points"][190] = doc["points"][170]
+    tgt.write_text(json.dumps(doc))
+    code = main(["match", str(ref), str(tgt), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "landmarks 170 and 190" in err
 
 
 @pytest.mark.parametrize(
@@ -401,6 +452,29 @@ def test_cluster_cli_verdict_and_exit_codes(tmp_path, capsys):
     assert starved == 1
 
 
+def test_cluster_runs_its_five_matches_in_lockstep(tmp_path, shapes8):
+    out = tmp_path / "cluster"
+    code = main(["cluster", shapes8["c8"], shapes8["c8-large"], "--refs", shapes8["s8"],
+                 shapes8["h8"], "--pair-threshold", "100", "--ref-diff-threshold", "100",
+                 "--out", str(out)])
+    assert code == 0
+    evidence = json.loads((out / "verdict.json").read_text())["evidence"]
+    assert [e["iterations"] for e in evidence] == [18, 19, 18, 22, 21]
+
+
+def test_cluster_preprocess_rejects_a_template_of_zero_extent(tmp_path, capsys):
+    # One landmark each: centred, every template has zero RMS radius.
+    paths = []
+    for label in ("a", "b", "r1", "r2"):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"label": label, "points": [[0.0, 0.0]]}))
+        paths.append(str(path))
+    code = main(["cluster", *paths[:2], "--refs", *paths[2:], "--pair-threshold", "1",
+                 "--ref-diff-threshold", "1", "--preprocess", "--out", str(tmp_path / "cl")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: template 'a' has zero extent\n"
+
+
 # The templates set N; --n only sizes the built-in pair.
 @pytest.mark.parametrize("n_flag", [["--n", "8"], []], ids=["n8", "no-n"])
 def test_sweep_cli(tmp_path, pair, capsys, n_flag):
@@ -425,6 +499,18 @@ def test_sweep_cli(tmp_path, pair, capsys, n_flag):
     assert manifest["extras"]["grid"]["alpha2_values"] == [0.5, 1.0]
     assert manifest["extras"]["grid"]["n_landmarks"] == 8
     assert manifest["extras"]["pair"] == ["c", "e"]
+
+
+def test_sweep_pins_the_conical_grid(tmp_path):
+    # The h = 0.4 cells converge; the h = 2.5 cells diverge, left blank.
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--n", "8", "--alpha2", "0.5", "1", "--h-values", "0.4", "2.5",
+                 "--tol", "1e-3", "--out", str(out)])
+    assert code == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        cells = {(row["alpha2"], row["h"]): row["iterations"] for row in csv.DictReader(fh)}
+    assert cells == {("0.5", "0.4"): "31", ("1", "0.4"): "27", ("0.5", "2.5"): "",
+                     ("1", "2.5"): ""}
 
 
 def test_sweep_needs_both_templates_or_neither(tmp_path, pair, capsys):

@@ -360,6 +360,15 @@ def test_iteration_cap_reported(solve):
     assert "cap" in result.diagnosis
 
 
+def test_match_across_two_row_blocks_converges_in_70_iterations():
+    """At N = 200 every shoot's rhs runs its pairwise pass in two row
+    blocks; the iteration count pins the blocked pass end to end."""
+    cfg = ShootingConfig(h=0.3, evolve=EvolveConfig(steps=10))
+    result = match(circle(2.0, n=200), heart4(200), cfg)
+    assert result.converged
+    assert result.iterations == 70
+
+
 def test_inexact_matching_lowers_the_hamiltonian():
     inexact = match(REF, TGT, quick_cfg(h=0.4, system=SystemSpec(sigma2=0.3)))
     exact = match(REF, TGT, quick_cfg(h=0.4))
