@@ -46,9 +46,9 @@ from .kernels import (
     KernelSpec,
     _coincident,
     _kernel_terms,
+    _pairwise_distances,
     _plan,
     as_points,
-    pairwise_distances,
 )
 
 __all__ = [
@@ -169,7 +169,7 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
             # Columns s:N; the first block spans them all.
             qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
             qe = qc[:, s:e]
-            dist = pairwise_distances(qe, qs)
+            dist = _pairwise_distances(qe, qs)
             kmat, a = _kernel_terms(kernel, dist, kc)
             pdot = pc[:, s:e] @ ps.transpose(0, 2, 1)
             # Each row's own pair and any coincident pair get A = 0 and
@@ -265,7 +265,7 @@ def velocity_field(spec: SystemSpec, state: ParticleState, x) -> np.ndarray:
     u = np.empty_like(pts)
     with np.errstate(over="ignore"):
         for s, e in _plan(len(pts), state.n)[0]:
-            dist = pairwise_distances(pts[s:e], state.q)
+            dist = _pairwise_distances(pts[s:e], state.q)
             u[s:e] = _kernel_terms(spec.kernel, dist)[0] @ state.p
     return u[0] if single else u
 

@@ -26,7 +26,7 @@ from .errors import (
     require_count,
     require_positive,
 )
-from .kernels import _coincident, _plan, as_points, pairwise_distances
+from .kernels import _coincident, _pairwise_distances, _plan, as_points
 
 __all__ = [
     "LandmarkTemplate",
@@ -54,7 +54,7 @@ class LandmarkTemplate:
         # inf, which is not a coincidence.
         with np.errstate(over="ignore"):
             for s, e in _plan(len(pts), len(pts))[0]:
-                zero = _coincident(pairwise_distances(pts[s:e], pts[s:]))
+                zero = _coincident(_pairwise_distances(pts[s:e], pts[s:]))
                 if zero is not None:
                     i, j = np.argwhere(zero)[0]
                     raise DegenerateConfigurationError(

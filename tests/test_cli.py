@@ -304,13 +304,15 @@ def test_shape_parameters_giving_bad_landmarks_exit_2(tmp_path, capsys, argv, na
     [
         (["square", "--side", "1e308"], 2, "error: square(side=1e+308, n=64): invalid template"),
         (["circle", "--radius", "1e308", "--n", "8"], 0, None),
+        (["circle", "--radius", "1e308", "--n", "64"], 0, None),
     ],
-    ids=["square", "circle"],
+    ids=["square", "circle", "circle-n64"],
 )
 def test_shapes_near_the_float_limit_print_no_numpy_warning(tmp_path, argv, code, error):
     """A square of side 1e308 overflows in its generator and is bad input;
-    a circle of radius 1e308 is a valid template whose distances overflow.
-    Neither prints a numpy warning, in a fresh interpreter."""
+    a circle of radius 1e308 is a valid template whose distances overflow,
+    in a broadcast subtraction at n = 8 and in the BLAS product at n = 64.
+    None prints a numpy warning, in a fresh interpreter."""
     done = _fresh_cli(["shapes", *argv, "--out", tmp_path / "s.json"])
     assert done.returncode == code, done.stderr
     if error is None:

@@ -241,13 +241,15 @@ def test_gaussian_system_stays_finite_where_distances_overflow():
     """On a radius-1e308 circle every pair is too far apart to interact:
     under the gaussian kernel, as under the conical one, dq = p and
     dp = 0, and a 5-step evolve only drifts each particle along its
-    momentum, with no DivergenceError."""
-    state = ParticleState(circle(1e308, n=8).points, np.full((8, 2), 0.1))
-    for family in ("conical", "gaussian"):
-        spec = SystemSpec(kernel=KernelSpec(family=family, alpha=0.7))
-        # Outside the RK4 loop, rhs's pairwise distances overflow openly.
-        with np.errstate(over="ignore"):
-            dq, dp = rhs(spec, state)
-        assert np.array_equal(dq, state.p) and np.array_equal(dp, np.zeros((8, 2)))
-        end = evolve(spec, state, EvolveConfig(steps=5)).final
-        assert np.isfinite(end.q).all() and np.array_equal(end.p, state.p)
+    momentum, with no DivergenceError.  At n = 8 the differences
+    overflow in a broadcast subtraction, at n = 64 in the BLAS product."""
+    for n in (8, 64):
+        state = ParticleState(circle(1e308, n=n).points, np.full((n, 2), 0.1))
+        for family in ("conical", "gaussian"):
+            spec = SystemSpec(kernel=KernelSpec(family=family, alpha=0.7))
+            # Outside the RK4 loop, rhs's pairwise distances overflow openly.
+            with np.errstate(over="ignore"):
+                dq, dp = rhs(spec, state)
+            assert np.array_equal(dq, state.p) and np.array_equal(dp, np.zeros((n, 2)))
+            end = evolve(spec, state, EvolveConfig(steps=5)).final
+            assert np.isfinite(end.q).all() and np.array_equal(end.p, state.p)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pickle
+import platform
 import subprocess
 import sys
 import warnings
@@ -16,15 +17,24 @@ from hypothesis import strategies as st
 from geoshoot import (
     ConfigurationError,
     DegenerateConfigurationError,
+    EvolveConfig,
     KernelFamily,
     KernelSpec,
+    LandmarkTemplate,
+    MatchResult,
+    ParticleState,
+    ShootingConfig,
+    SystemSpec,
     gram_matrix,
+    hamiltonian,
     kernel_derivative,
     kernel_value,
+    match,
     momenta_from_velocity,
     pairwise_distances,
     circle,
     heart4,
+    rhs,
 )
 from geoshoot import kernels
 
@@ -222,6 +232,136 @@ def test_pairwise_distances_basic():
     np.testing.assert_array_equal(np.diag(d), np.zeros(3))
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (3,), (3, 1)], ids=["4x3", "3", "3x1"])
+def test_pairwise_distances_accepts_only_planar_points(shape):
+    """A third coordinate is not dropped ([[0, 0, 5], [3, 4, 0]] is not
+    5 apart) and a 1-D input is no IndexError: as points or as others,
+    anything but (..., M, 2) raises ValueError."""
+    bad, good = np.zeros(shape), np.zeros((3, 2))
+    for args in ((bad,), (bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=r"must have shape \(\.\.\., M, 2\)"):
+            pairwise_distances(*args)
+
+
+def _plain_distances(points, others):
+    """The plain broadcast formula that pairwise_distances must equal."""
+    dx = points[..., :, 0, None] - others[..., None, :, 0]
+    dy = points[..., :, 1, None] - others[..., None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _bits(d):
+    """Shape and bytes of a distance array, every NaN made one quiet NaN:
+    the sign bit of a NaN follows each dgemm kernel's operand order."""
+    d = np.array(d)
+    d[np.isnan(d)] = np.nan
+    return d.shape, d.tobytes()
+
+
+def _distance_battery() -> dict:
+    """(points, others) pairs on both sides of kernels._PRODUCT_ENTRIES
+    (1024 entries per member), with broadcasting batch axes, Fortran
+    order, strides and float limits."""
+    rng = np.random.default_rng(11)
+    cases = {
+        f"{m}x{n}": (10.0 * rng.normal(size=(m, 2)), rng.normal(size=(n, 2)))
+        for m, n in [(3, 5), (31, 33), (32, 32), (1, 1024), (1024, 1), (64, 64), (37, 200)]
+    }
+    cases["batch-4x6x7"] = (rng.normal(size=(4, 6, 2)), rng.normal(size=(7, 2)))
+    cases["batch-3x40x50"] = (rng.normal(size=(3, 40, 2)), rng.normal(size=(50, 2)))
+    cases["batch-others"] = (rng.normal(size=(40, 2)), rng.normal(size=(3, 50, 2)))
+    cases["batch-both"] = (rng.normal(size=(2, 1, 40, 2)), rng.normal(size=(3, 50, 2)))
+    wide = rng.normal(size=(130, 5))
+    cases["fortran"] = tuple(np.asfortranarray(rng.normal(size=(k, 2))) for k in (64, 48))
+    cases["strided"] = (wide[::2, 1:4:2], wide[::-3, [4, 0]][:, ::-1])
+    signed_zeros = rng.choice([0.0, -0.0], size=(2, 40, 2))
+    cases["signed-zeros"] = tuple(signed_zeros)
+    same = rng.normal(size=(40, 2))
+    same[::4] = same[1]
+    cases["coincident"] = (same, same)
+    limits = np.array(
+        [0.0, -0.0, 1e-320, -1e-320, 1e308, -1e308, np.inf, -np.inf, np.nan, 1.0, -2.5]
+    )
+    for m, n in [(6, 5), (64, 48)]:
+        cases[f"limits-{m}x{n}"] = (rng.choice(limits, size=(m, 2)), rng.choice(limits, size=(n, 2)))
+    return cases
+
+
+DISTANCE_BATTERY = _distance_battery()
+
+
+@pytest.mark.parametrize("case", list(DISTANCE_BATTERY))
+def test_pairwise_distances_equal_the_plain_formula(case):
+    """Byte for byte, NaN for NaN, at the default size rule and with every
+    block taking the BLAS product."""
+    points, others = DISTANCE_BATTERY[case]
+    with np.errstate(all="ignore"):
+        want = _bits(_plain_distances(points, others))
+        assert _bits(pairwise_distances(points, others)) == want
+        assert _bits(pairwise_distances(points)) == _bits(_plain_distances(points, points))
+        with mock.patch.object(kernels, "_PRODUCT_ENTRIES", 1):
+            assert _bits(pairwise_distances(points, others)) == want
+
+
+@pytest.mark.parametrize("n", [6, 16, 64, 200, 1024])
+def test_rhs_and_gram_bits_do_not_depend_on_the_product_threshold(n):
+    """With the threshold above every block, every difference is a
+    broadcast subtraction; rhs, the Gram matrix and H keep their bytes."""
+    q = heart4(n).points
+    spec, state = SystemSpec(), ParticleState(q, np.random.default_rng(n).normal(size=(n, 2)))
+
+    def run():
+        return (*rhs(spec, state), gram_matrix(spec.kernel, q), hamiltonian(spec, state))
+
+    product = run()
+    with mock.patch.object(kernels, "_PRODUCT_ENTRIES", n * n + 1):
+        broadcast = run()
+    for a, b in zip(product, broadcast):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_match_bits_do_not_depend_on_the_product_threshold():
+    """Every MatchResult field of a match at N = 64 (one 64 x 64 block,
+    above the threshold) is the same with broadcast differences."""
+    cfg = ShootingConfig(h=0.4, evolve=EvolveConfig(steps=10))
+
+    def run():
+        return match(circle(2.0, n=64), heart4(64), cfg)
+
+    product = run()
+    with mock.patch.object(kernels, "_PRODUCT_ENTRIES", 64 * 64 + 1):
+        broadcast = run()
+    assert product.converged
+    for field in dataclasses.fields(MatchResult):
+        a, b = getattr(product, field.name), getattr(broadcast, field.name)
+        if isinstance(a, LandmarkTemplate):
+            a, b = a.points, b.points
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the OpenBLAS core types named are x86-64 ones",
+)
+@pytest.mark.parametrize("coretype", ["Nehalem", "Haswell"])
+def test_distance_bits_hold_under_other_dgemm_kernels(coretype):
+    """The product's exactness holds for any order or fusing of the two
+    products, so the battery and the threshold pins pass again in a fresh
+    interpreter whose OpenBLAS runs the dgemm kernel of another core."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "plain_formula or product_threshold"],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": coretype},
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_scalar_and_array_agree():
     spec = KernelSpec(family="bessel", nu=2.0)
     r = np.array([0.3, 1.1, 4.0])
@@ -295,13 +435,15 @@ def test_gram_rejects_coincident_points():
 def test_gram_matrix_of_points_near_the_float_limit():
     """Distances between coordinates near 1e308 overflow to inf, where
     every family's G is 0: the Gram matrix of a radius-1e308 circle is
-    the identity, and nothing warns."""
-    pts = circle(1e308, n=8).points
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for family in KernelFamily:
-            kmat = gram_matrix(KernelSpec(family=family, nu=2.5, alpha=0.7), pts)
-            np.testing.assert_array_equal(kmat, np.eye(8))
+    the identity, and nothing warns, whether the differences overflow
+    in a broadcast subtraction (n = 8) or in the BLAS product (n = 64)."""
+    for n in (8, 64):
+        pts = circle(1e308, n=n).points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in KernelFamily:
+                kmat = gram_matrix(KernelSpec(family=family, nu=2.5, alpha=0.7), pts)
+                np.testing.assert_array_equal(kmat, np.eye(n))
 
 
 def test_gram_mirrors_upper_blocks_bit_for_bit():

@@ -631,15 +631,18 @@ def test_stacked_rhs_reports_a_clashing_member_alone(budget):
 def test_public_rhs_and_energy_print_no_warning_near_the_float_limit():
     """Distances between coordinates near the float limit overflow to
     inf, where the kernel is 0, so K is the identity: dq = p, dp = 0,
-    u(q) = p and H = sum |p_i|^2, with no numpy warning."""
-    q = circle(1e308, n=8).points
-    state, spec = ParticleState(q, np.full_like(q, 0.1)), SystemSpec()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        dq, dp = rhs(spec, state)
-        energy = hamiltonian(spec, state)
-        u = velocity_field(spec, state, q)
-    assert np.array_equal(dq, state.p)
-    assert np.array_equal(dp, np.zeros_like(q))
-    assert energy == pytest.approx(0.16)
-    assert np.array_equal(u, state.p)
+    u(q) = p and H = sum |p_i|^2, with no numpy warning, whether the
+    differences overflow in a broadcast subtraction (n = 8) or in the
+    BLAS product (n = 64)."""
+    for n in (8, 64):
+        q = circle(1e308, n=n).points
+        state, spec = ParticleState(q, np.full_like(q, 0.1)), SystemSpec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dq, dp = rhs(spec, state)
+            energy = hamiltonian(spec, state)
+            u = velocity_field(spec, state, q)
+        assert np.array_equal(dq, state.p)
+        assert np.array_equal(dp, np.zeros_like(q))
+        assert energy == pytest.approx(0.02 * n)
+        assert np.array_equal(u, state.p)

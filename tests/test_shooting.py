@@ -614,14 +614,24 @@ def test_no_run_loads_openssl(tmp_path):
 @NEEDS_BUNDLED_LAPACK
 def test_momenta_recovery_bits_do_not_depend_on_the_blas_thread_count():
     """The threaded factor rounds differently from one thread at these N;
-    the factor's one-thread pin makes two threads give one thread's bits."""
+    the factor's one-thread pin makes two threads give one thread's bits.
+    At N = 1024 the coordinate differences of the Gram build and of
+    every rhs come from dgemm products, which keep their bits under two
+    threads too: the Gram matrix and a 5-step evolve (the shape of the
+    transport-n1024 benchmark) print the same digests."""
     code = "\n".join([
         "import hashlib",
-        "from geoshoot import KernelSpec, circle, heart4, momenta_from_velocity",
+        "from geoshoot import (EvolveConfig, KernelSpec, ParticleState, SystemSpec,",
+        "                      circle, evolve, gram_matrix, heart4, momenta_from_velocity)",
+        "def digest(*arrays):",
+        "    return hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest()",
         "for n in (200, 1024):",
         "    q, t = circle(1.0, n=n).points, heart4(n=n).points",
         "    p = momenta_from_velocity(KernelSpec(), q, 0.5 * (t - q))",
-        "    print(n, hashlib.sha256(p.tobytes()).hexdigest())",
+        "    print(n, digest(p))",
+        "print('gram', digest(gram_matrix(KernelSpec(), q)))",
+        "end = evolve(SystemSpec(), ParticleState(q, p), EvolveConfig(t_final=0.2, steps=5)).final",
+        "print('evolve', digest(end.q, end.p))",
     ])
     one, two = (_run_python(code, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
     assert one == two
