@@ -10,6 +10,7 @@ comparison of exact versus inexact matching.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -225,27 +226,20 @@ def triangle_inequality_audit(records) -> list:
 
     labels = sorted({lab for key in table for lab in key})
     report = []
-    for x in labels:
-        for z in labels:
-            if x == z or lookup(x, z) is None:
-                continue
-            for y in labels:
-                if y in (x, z):
-                    continue
-                via_left, via_right = lookup(x, y), lookup(y, z)
-                if via_left is None or via_right is None:
-                    continue
-                direct = lookup(x, z)
-                report.append(
-                    {
-                        "from": x,
-                        "to": z,
-                        "via": y,
-                        "direct": direct,
-                        "detour": via_left + via_right,
-                        "holds": direct <= via_left + via_right + 1e-12,
-                    }
-                )
+    for x, z, y in itertools.permutations(labels, 3):
+        direct, via_left, via_right = lookup(x, z), lookup(x, y), lookup(y, z)
+        if direct is None or via_left is None or via_right is None:
+            continue
+        report.append(
+            {
+                "from": x,
+                "to": z,
+                "via": y,
+                "direct": direct,
+                "detour": via_left + via_right,
+                "holds": direct <= via_left + via_right + 1e-12,
+            }
+        )
     return report
 
 
@@ -286,7 +280,7 @@ def convergence_sweep(
     ]
     counts = [
         res.iterations if isinstance(res, MatchResult) and res.converged else DIVERGED
-        for res in _drive([(reference, target, cfg) for cfg in cfgs], newton=False)
+        for res in _drive([(reference, target, cfg) for cfg in cfgs])
     ]
     return np.array(counts, dtype=int).reshape(len(grid.alpha2_values), -1)
 

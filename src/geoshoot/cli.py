@@ -98,7 +98,8 @@ def _config_from(args: argparse.Namespace) -> ShootingConfig:
         max_iter=args.max_iter,
         update_space=args.update,
         norm=args.norm,
-        evolve=EvolveConfig(t_final=args.t_final, steps=args.steps),
+        # Only ``match`` has --capture-every; its replay keeps the frames.
+        evolve=EvolveConfig(args.t_final, args.steps, getattr(args, "capture_every", 0)),
         system=SystemSpec(kernel=kernel, sigma2=args.sigma2),
     )
 
@@ -184,15 +185,14 @@ def _cmd_shapes(args: argparse.Namespace) -> _Run:
 
 def _cmd_match(args: argparse.Namespace) -> _Run:
     cfg = _config_from(args)
-    capture = EvolveConfig(cfg.evolve.t_final, cfg.evolve.steps, args.capture_every)
     (reference, target), inputs = _load(args.reference, args.target)
 
     result = match(reference, target, cfg)
     out = _out_dir(args)
     save_match_result(result, out / "result.json", cfg)
     write_residual_csv(result.residual_history, out / "residuals.csv")
-    if capture.capture_every > 0:
-        run = evolve(cfg.system, ParticleState(reference.points, result.p0), capture)
+    if cfg.evolve.capture_every > 0:
+        run = evolve(cfg.system, ParticleState(reference.points, result.p0), cfg.evolve)
         write_trajectory_csv(run.frames, out / "trajectory.csv")
         save_svg(frames_svg(run.frames), out / "frames.svg")
 

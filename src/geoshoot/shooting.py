@@ -126,10 +126,9 @@ def _norm(kind: ResidualNorm, vec: np.ndarray) -> float:
     which keeps the iteration count (and hence H) exactly isometry
     invariant; a coordinate-wise max would not be.
     """
-    arr = np.asarray(vec, dtype=float).reshape(-1, 2)
     if kind is ResidualNorm.MAX:
-        return float(np.max(np.hypot(arr[:, 0], arr[:, 1])))
-    return float(np.linalg.norm(arr.ravel()))
+        return float(np.max(np.hypot(vec[:, 0], vec[:, 1])))
+    return float(np.linalg.norm(vec.ravel()))
 
 
 class _GramSolver:
@@ -233,14 +232,10 @@ def _newton_direction(cell: _Cell) -> np.ndarray:
     """
     x = cell.x
     step = 1e-5 * max(1.0, float(np.max(np.abs(x))))
-    ps = []
-    for j in range(x.size):
-        # x + probe, not a bumped copy of x: the sum turns x's -0.0
-        # entries into +0.0, and J's bits depend on that.
-        probe = np.zeros(x.shape)
-        probe.flat[j] = step
-        ps.append(cell.momenta(x + probe))
-    ends, failures = _shoot([cell] * x.size, ps)
+    # x plus a scaled identity, not bumped copies of x: the sum turns x's
+    # -0.0 entries into +0.0, and J's bits depend on that.
+    probes = x + step * np.eye(x.size).reshape(x.size, *x.shape)
+    ends, failures = _shoot([cell] * x.size, [cell.momenta(probe) for probe in probes])
     if failures:
         return cell.residual
     jac = ((ends - cell.endpoint) / step).reshape(x.size, x.size).T
@@ -283,8 +278,8 @@ class _Cell:
         return norm if self.exact else self.cfg.h * norm
 
 
-def _drive(problems: list, newton: bool) -> list:
-    """The shooting iteration behind :func:`match`, :func:`newton_match`
+def _drive(problems: list, direction=None) -> list:
+    """The shooting iteration behind every match, the Newton baseline
     and every multi-match analysis: one match per (reference, target,
     config) problem in ``problems``, in lockstep.
 
@@ -292,13 +287,13 @@ def _drive(problems: list, newton: bool) -> list:
     space: its Gram solve maps it to momenta) or the momenta p
     themselves.  It starts at 0, whose endpoint is q0 without a shoot,
     and moves by the cell's h times a direction: the endpoint residual
-    r, or the Newton step J^-1 r (``newton``, whose 2N finite-difference
-    probes are shot as one stack of their own).  The stopping norm is
-    |r| for an exact system and h * |r| for an inexact one (sigma2 > 0);
-    the latter is the iterate's move only under the feedback update, so
-    Newton takes only exact systems.  Unequal landmark counts, or Newton
-    on an inexact system, raise ConfigurationError for the first such
-    problem before anything runs.
+    r, or ``direction(cell)`` when the caller gives one (the Newton
+    baseline gives :func:`_newton_direction`, whose shoots are its
+    own).  The stopping norm is |r| for an exact system and
+    h * |r| for an inexact one (sigma2 > 0); the latter is the
+    iterate's move only under the feedback update.  Unequal landmark
+    counts raise ConfigurationError for the first such problem before
+    anything runs.
 
     Each round updates every live cell and shoots them all at once
     through one :func:`~geoshoot.integrator._evolve_stack` call, so the
@@ -320,8 +315,6 @@ def _drive(problems: list, newton: bool) -> list:
                 f"templates must have equal landmark counts: "
                 f"{reference.n} (reference) vs {target.n} (target)"
             )
-        if newton and cfg.system.sigma2 > 0:
-            raise ConfigurationError("newton_match supports only exact systems (sigma2 = 0)")
     results = [None] * len(problems)
 
     def finish(cell: _Cell, converged: bool, diagnosis: str | None = None) -> None:
@@ -371,7 +364,7 @@ def _drive(problems: list, newton: bool) -> list:
         moves = []
         for cell in live:
             cfg = cell.cfg
-            step = _newton_direction(cell) if newton else cell.residual
+            step = cell.residual if direction is None else direction(cell)
             with np.errstate(over="ignore", invalid="ignore"):
                 x = cell.x + cfg.h * step
                 p = cell.momenta(x)
@@ -408,10 +401,10 @@ def _drive(problems: list, newton: bool) -> list:
     return results
 
 
-def _solve(problems: list, newton: bool = False) -> list:
+def _solve(problems: list, direction=None) -> list:
     """The MatchResults of one :func:`_drive` over ``problems``, in
     order; raises the error that ended the first failed problem."""
-    results = _drive(problems, newton)
+    results = _drive(problems, direction)
     for res in results:
         if isinstance(res, Exception):
             raise res
@@ -468,9 +461,13 @@ def newton_match(
     evolutions; the point of the comparison is that the feedback loop
     avoids all of them.  The probe stack holds the RK4 state of 2N
     members at once: a Newton iteration at N = 200 peaks at about 24 MB
-    of traced memory.  Only exact systems (sigma2 = 0) are supported:
-    Newton stops on the endpoint residual.
-    The iterate is the initial velocity, whatever ``cfg.update_space``.
+    of traced memory.  Only exact systems (sigma2 = 0) are supported,
+    since the inexact stopping norm h * |r| is the iterate's move only
+    under the feedback update; an inexact one raises ConfigurationError
+    before any shoot.  The iterate is the initial velocity, whatever
+    ``cfg.update_space``.
     """
+    if cfg.system.sigma2 > 0:
+        raise ConfigurationError("newton_match supports only exact systems (sigma2 = 0)")
     velocity = replace(cfg, update_space=UpdateSpace.VELOCITY)
-    return _solve([(reference, target, velocity)], newton=True)[0]
+    return _solve([(reference, target, velocity)], _newton_direction)[0]

@@ -142,6 +142,36 @@ def test_triangle_audit_skips_unconverged_records():
     assert triangle_inequality_audit(records) == []
 
 
+def test_triangle_audit_pins_the_full_report():
+    # (a, c) resolves through (c, a), (b, a) is used as given next to
+    # (a, b), and the unconverged (c, d) leaves every route over c-d out.
+    records = [
+        _rec("a", "b", 1.0),
+        _rec("b", "a", 1.5),
+        _rec("b", "c", 2.0),
+        _rec("c", "a", 2.5),
+        _rec("a", "d", 4.0),
+        _rec("d", "b", 0.5),
+        _rec("c", "d", 9.0, converged=False),
+    ]
+    routes = [
+        ("a", "b", "c", 1.0, 4.5, True),
+        ("a", "b", "d", 1.0, 4.5, True),
+        ("a", "c", "b", 2.5, 3.0, True),
+        ("a", "d", "b", 4.0, 1.5, False),
+        ("b", "a", "c", 1.5, 4.5, True),
+        ("b", "a", "d", 1.5, 4.5, True),
+        ("b", "c", "a", 2.0, 4.0, True),
+        ("b", "d", "a", 0.5, 5.5, True),
+        ("c", "a", "b", 2.5, 3.5, True),
+        ("c", "b", "a", 2.0, 3.5, True),
+        ("d", "a", "b", 4.0, 2.0, False),
+        ("d", "b", "a", 0.5, 5.0, True),
+    ]
+    keys = ("from", "to", "via", "direct", "detour", "holds")
+    assert triangle_inequality_audit(records) == [dict(zip(keys, r)) for r in routes]
+
+
 def test_sweep_counts_and_divergence_cells():
     grid = SweepGrid(
         alpha2_values=(0.5, 1.0),
@@ -343,7 +373,7 @@ def _outcome(res):
     ids=["mixed", "n64", "problems-n8", "problems-n64"],
 )
 def test_lockstep_cells_equal_lone_matches(problems):
-    results = shooting._drive(problems, newton=False)
+    results = shooting._drive(problems)
     assert len(results) == len(problems)
     outcomes = set()
     for (ref, tgt, cfg), res in zip(problems, results):
@@ -375,9 +405,9 @@ def test_requested_exact_row_reuses_the_exact_run(monkeypatch):
     the driver are the distinct (sigma2, h) rows."""
     drives = []
 
-    def counted(problems, newton):
+    def counted(problems, direction=None):
         drives.append(len(problems))
-        return drive(problems, newton)
+        return drive(problems, direction)
 
     drive = shooting._drive
     monkeypatch.setattr(shooting, "_drive", counted)

@@ -123,6 +123,18 @@ def test_match_capture_writes_trajectory(tmp_path, pair):
     assert header == "t,i,qx,qy,px,py"
 
 
+def test_match_capture_is_echoed_by_result_and_manifest(tmp_path, shapes8):
+    # The replay keeps every 2nd of 10 steps: 6 frames of 8 landmarks.
+    out = tmp_path / "run"
+    code = main(["match", shapes8["c8"], shapes8["h8"], "--steps", "10",
+                 "--capture-every", "2", "--out", str(out)])
+    assert code == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 6 * 8
+    for name in ("result.json", "manifest.json"):
+        evolve = json.loads((out / name).read_text())["config"]["evolve"]
+        assert evolve == {"t_final": 1.0, "steps": 10, "capture_every": 2}, name
+
+
 def test_match_nonconvergence_exits_1(tmp_path, pair, capsys):
     ref, tgt = pair
     out = tmp_path / "run"

@@ -395,10 +395,11 @@ def test_inexact_match_stops_on_the_iterate_move(h, sigma2, iterations, H):
     assert result.final_residual < cfg.epsilon / h
 
 
-def test_newton_rejects_inexact_system():
+def test_newton_rejects_inexact_system(shoots):
     cfg = quick_cfg(system=SystemSpec(sigma2=0.3))
     with pytest.raises(ConfigurationError, match="sigma2"):
         newton_match(REF, TGT, cfg)
+    assert shoots[0] == 0
 
 
 @pytest.mark.parametrize("bad", [dict(h=0.0), dict(h=-1.0), dict(h=math.inf)])
