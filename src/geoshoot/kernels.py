@@ -78,8 +78,14 @@ class KernelSpec:
                 )
         # Every evaluation's constants, computed once and kept outside the
         # fields as ``_k``: alpha, alpha**2, G(0), the Bessel factors c and
-        # c / alpha (c is 0 outside the bessel family), and -alpha.
-        # Extreme widths and orders overflow or vanish in them.
+        # c / alpha (c is 0 outside the bessel family), -alpha, the
+        # reciprocals 1 / alpha, 1 / alpha**2 and -1 / alpha, and whether
+        # those reciprocals are exact.  They are exact where alpha is a
+        # power of two (the default 1 among them) and no reciprocal
+        # overflows; then x * (1 / alpha) rounds the same real number as
+        # x / alpha, so every evaluation multiplies where it would divide,
+        # bit for bit, and a multiplication costs less.  Extreme widths
+        # and orders overflow or vanish in them.
         alpha, a2 = self.alpha, self.alpha * self.alpha
         c = 0.0
         try:
@@ -98,6 +104,7 @@ class KernelSpec:
                 else:
                     peak = 1.0 / (2.0 * math.pi * a2)
                 k = (alpha, alpha**2, peak, c, c / alpha, -alpha)
+                recip = (1.0 / alpha, 1.0 / k[1], -1.0 / alpha)
         except (ZeroDivisionError, OverflowError):
             peak = c = math.nan
         if not (0 < peak < math.inf) or (
@@ -107,66 +114,91 @@ class KernelSpec:
                 f"kernel constants G(0) = {peak} and c = {c} are not finite and "
                 f"nonzero at alpha={self.alpha}, nu={self.nu}"
             )
+        exact = all(math.frexp(d)[0] == 0.5 for d in k[:2]) and all(
+            map(math.isfinite, recip)
+        )
+        k += recip + (exact,)
         object.__setattr__(self, "_k", k)
 
 
 def _kernel_terms(
-    spec: KernelSpec, r: np.ndarray, k: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    spec: KernelSpec, r: np.ndarray, k: tuple | None = None, slope: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """G(r) and dG/dr over an array of radii r >= 0, from one evaluation of
-    the family's exp (or of each Bessel order).
+    the family's exp (or of each Bessel order); with ``slope=False``, G(r)
+    and None, for callers that use only G: then no slope is built, and a
+    Bessel kernel evaluates one order.
 
     ``k`` holds the kernel constants: by default ``spec._k``, which the
     spec computed and validated once when it was built, or the kernel
     part of a :func:`geoshoot.particles._constants` stack for a
     (B, rows, N) batch of radii, whose members then differ in alpha
-    only.  G is exact at r = 0; dG/dr there is finite but meaningless
-    (the conical kernel's slope jumps at the origin), so callers mask
-    it.  Bessel terms take their edge cases from IEEE special values:
-    G(0) where the product overflows (kv(mu, 0) is inf), 0 where K
-    underflows, and slope 0 where r**mu underflows against an infinite
-    K (a NaN product).  Gaussian slopes are 0 where r / alpha**2
-    overflows.  The slope is dG/dr, not dG/dr / r: the particle system
-    weights it by the momentum product before dividing by r, and
-    dividing first would round every conical rhs, and so every match,
-    differently.
+    only.  Where every member's reciprocals of alpha are exact (alpha a
+    power of two), each r / alpha, r / alpha**2 and x / -alpha is a
+    multiplication by the reciprocal, the same bits at less cost; any
+    other stack divides.  G is exact at r = 0; dG/dr there is finite
+    but meaningless (the conical kernel's slope jumps at the origin), so
+    callers mask it.  Bessel terms take their edge cases from IEEE
+    special values: G(0) where the product overflows (kv(mu, 0) is
+    inf), 0 where K underflows, and slope 0 where r**mu underflows
+    against an infinite K (a NaN product).  Gaussian slopes are 0 where
+    r / alpha**2 overflows.  The slope is dG/dr, not dG/dr / r: the
+    particle system weights it by the momentum product before dividing
+    by r, and dividing first would round every conical rhs, and so every
+    match, differently.
     """
-    alpha, alpha2, peak, c, c_alpha, neg_alpha = spec._k if k is None else k
+    alpha, alpha2, peak, c, c_alpha, neg_alpha, inv, inv2, neg_inv, exact = (
+        spec._k if k is None else k
+    )
+    # scale(x, a) is x / alpha either way, and scale(x, a2) x / alpha**2.
+    # A stack whose members disagree on exactness holds an array here.
+    if exact is True:
+        scale, a, a2, neg_a = np.multiply, inv, inv2, neg_inv
+    else:
+        scale, a, a2, neg_a = np.divide, alpha, alpha2, neg_alpha
+    der = None
     if spec.family is KernelFamily.BESSEL:
         from scipy.special import kv
 
         # d/dz [z^mu K_mu(z)] = -z^mu K_(mu-1)(z), with z = r / alpha.
         mu = spec.nu - 1.0
-        z = r / alpha
+        z = scale(r, a)
         with np.errstate(over="ignore", invalid="ignore"):
-            k0, k1 = kv(mu, z), kv(mu - 1.0, z)
+            k0 = kv(mu, z)
             r_mu = r**mu
             value = c * r_mu * k0
-            slope = -c_alpha * r_mu * k1
         value = np.where(k0 == 0.0, 0.0, np.where(np.isfinite(value), value, peak))
-        slope = np.where((k1 == 0.0) | np.isnan(slope), 0.0, slope)
+        if slope:
+            with np.errstate(over="ignore", invalid="ignore"):
+                k1 = kv(mu - 1.0, z)
+                der = -c_alpha * r_mu * k1
+            der = np.where((k1 == 0.0) | np.isnan(der), 0.0, der)
         if spec.normalized:
             value /= peak
-            slope /= peak
-        return value, slope
+            if slope:
+                der /= peak
+        return value, der
 
     if spec.family is KernelFamily.CONICAL:
         # In place: at N = 1024 every (N, N) temporary is 8 MB of peak memory.
         # x / -alpha is -(x / alpha) bit for bit, one pass fewer.
-        value = np.divide(r, neg_alpha)
+        value = scale(r, neg_a)
         np.exp(value, out=value)
-        slope = np.divide(value, neg_alpha)
+        if slope:
+            der = scale(value, neg_a)
     else:
         # Where r / alpha2 overflows, the value has underflowed to 0 and
         # the slope is inf * 0 = NaN; it is 0 there.
         with np.errstate(over="ignore", invalid="ignore"):
-            value = np.exp(-0.5 * (r / alpha) ** 2)
-            slope = -(r / alpha2) * value
-        slope[np.isnan(slope)] = 0.0
+            value = np.exp(-0.5 * scale(r, a) ** 2)
+            if slope:
+                der = -scale(r, a2) * value
+                der[np.isnan(der)] = 0.0
     if not spec.normalized:
         value *= peak
-        slope *= peak
-    return value, slope
+        if slope:
+            der *= peak
+    return value, der
 
 
 def kernel_value(spec: KernelSpec, r):
@@ -174,7 +206,7 @@ def kernel_value(spec: KernelSpec, r):
     r_arr = np.asarray(r, dtype=float)
     if not np.all(r_arr >= 0):  # NaN fails the comparison too
         raise ValueError("kernel_value requires r >= 0")
-    out = _kernel_terms(spec, np.atleast_1d(r_arr))[0]
+    out = _kernel_terms(spec, np.atleast_1d(r_arr), slope=False)[0]
     return float(out[0]) if r_arr.ndim == 0 else out
 
 
@@ -196,15 +228,16 @@ def kernel_derivative(spec: KernelSpec, r):
 # per float64 block matrix, so that a block's temporaries stay in a
 # core's L2 cache instead of streaming whole matrices through L3.
 _BLOCK_ENTRIES = 1 << 15
-# A pairwise block of at least this many entries per member takes its
-# coordinate differences from one BLAS product, below it from two
-# broadcast subtractions.  The product costs a few microseconds more
-# per call and less per entry.  Time with the product over time with
-# the broadcast, for the whole distance build on one OpenBLAS thread of
-# a 2-core x86-64 host: 1.2 at 32 x 32, 1.0 at 48 x 48, 0.8 at 64 x 64
-# and 0.7 at 128 x 128 for one member; 1.0 at 24 x 24 and 0.8 at
-# 32 x 32 for a stack of four; 0.65 at 32 x 1024.
-_PRODUCT_ENTRIES = 1 << 10
+# A pairwise block of at least this many entries, counted over the whole
+# stack (B x M x N), takes its coordinate differences from one BLAS
+# product, below it from two broadcast subtractions.  The product costs
+# a few microseconds more per call and less per entry.  Time with the
+# product over time with the broadcast, for the whole distance build on
+# one OpenBLAS thread of a 2-core x86-64 host: 1.18 at 32 x 32, 1.07 at
+# 40 x 40, 1.00 at 44 x 44, 0.97 at 48 x 48 and 0.83 at 64 x 64 for one
+# member; 1.08 for two members and 0.98 for one at 2048 entries;
+# 1.19 at 20 x 20, 1.04 at 24 x 24 and 0.86 at 32 x 32 for four members.
+_PRODUCT_ENTRIES = 1 << 11
 
 
 def _plan(m: int, n: int) -> tuple:
@@ -233,9 +266,9 @@ def _coincident(dist: np.ndarray, weights: np.ndarray | None = None):
     zero: it is set to 1.0 in place, and to 0.0 in ``weights``, a block
     of pair weights that must skip it.  Any zero left is a coincident
     pair.  The test for one follows the size rule of
-    :func:`_pairwise_distances`: below ``_PRODUCT_ENTRIES`` entries per
-    member it counts the nonzeros, which costs less per call; at or above
-    it ``dist.all()`` costs less per entry (9 against 23 us on a
+    :func:`_pairwise_distances`: below ``_PRODUCT_ENTRIES`` entries of
+    the whole stack it counts the nonzeros, which costs less per call; at
+    or above it ``dist.all()`` costs less per entry (9 against 23 us on a
     32 x 1024 block).  Both read NaN as nonzero, so unlike a minimum, a
     NaN in another member cannot hide a pair.
     """
@@ -243,7 +276,7 @@ def _coincident(dist: np.ndarray, weights: np.ndarray | None = None):
     dist.reshape(-1, size)[:, ::step] = 1.0
     if weights is not None:
         weights.reshape(-1, size)[:, ::step] = 0.0
-    if size < _PRODUCT_ENTRIES:
+    if dist.size < _PRODUCT_ENTRIES:
         distinct = np.count_nonzero(dist) == dist.size
     else:
         distinct = dist.all()
@@ -281,39 +314,64 @@ def pairwise_distances(points, others=None) -> np.ndarray:
     for name, arr in (("points", pts), ("others", oth)):
         if arr.ndim < 2 or arr.shape[-1] != 2:
             raise ValueError(f"{name} must have shape (..., M, 2), got {arr.shape}")
-    return _pairwise_distances(pts, oth)
+    # The points carry the whole batch, so that they count its entries.
+    batch = np.broadcast_shapes(pts.shape[:-2], oth.shape[:-2])
+    pts = np.broadcast_to(pts, batch + pts.shape[-2:])
+    return _pairwise_distances(pts, oth, _operands(pts, oth))
 
 
-def _pairwise_distances(pts: np.ndarray, oth: np.ndarray) -> np.ndarray:
-    """:func:`pairwise_distances` of float arrays of shapes (..., M, 2)
-    and (..., N, 2), with no input check: the form every pairwise pass
-    calls.
+def _operands(pts: np.ndarray, oth: np.ndarray):
+    """The BLAS product operands of a pairwise pass of float points of
+    shape (..., M, 2) against others of shape (..., N, 2), built once for
+    every block of the pass, or None when the pass has fewer than
+    ``_PRODUCT_ENTRIES`` entries, so that none of its blocks takes the
+    product.  ``pts`` carries the batch of the pass: M x N times its
+    batch size counts the entries.
+
+    They are (2, ..., M, 2) rows and (2, ..., 2, N) columns: for plane c,
+    rows (c_i, 1) against columns (1, -c_j).  The plane axis leads, so
+    each plane of a stack is C-contiguous, and batch axes of unequal
+    rank broadcast after it.
+    """
+    if pts.size // 2 * oth.shape[-2] < _PRODUCT_ENTRIES:
+        return None
+    rows = np.empty((2,) + pts.shape)
+    rows[0, ..., 0] = pts[..., 0]
+    rows[1, ..., 0] = pts[..., 1]
+    rows[..., 1] = 1.0
+    cols = np.empty((2,) + (1,) * (pts.ndim - oth.ndim) + oth.shape[:-2] + (2, oth.shape[-2]))
+    cols[..., 0, :] = 1.0
+    np.negative(oth[..., 0], out=cols[0, ..., 1, :])
+    np.negative(oth[..., 1], out=cols[1, ..., 1, :])
+    return rows, cols
+
+
+def _pairwise_distances(
+    pts: np.ndarray, oth: np.ndarray, ops: tuple | None = None, s: int = 0
+) -> np.ndarray:
+    """The distances of one block of a pairwise pass, with no input check:
+    the form every pairwise pass calls.  The block takes rows s:s+M of
+    the pass's points, given as ``pts`` (..., M, 2), against the pass's
+    last N others, given as ``oth`` (..., N, 2); ``ops`` is
+    :func:`_operands` of the whole pass, with ``pts`` carrying the
+    block's batch.
 
     Works on the two coordinate differences in place, never on an
-    (N, M, 2) difference tensor.  Below ``_PRODUCT_ENTRIES`` entries per
-    member they are two broadcast subtractions.  At or above it both
-    planes come from one BLAS product of (2, ..., M, 2) rows against
-    (2, ..., 2, N) columns: for plane c, rows (c_i, 1) against columns
-    (1, -c_j).  Each entry c_i * 1 + 1 * (-c_j) sums two exact products
-    with one rounding, so it is c_i - c_j up to the sign of a zero (or
-    of a NaN), whatever the order or fusing of the dgemm kernel; the
-    squares, and so the distances, are the same bits.  The plane axis
-    leads, so each plane of a stack is C-contiguous, and batch axes of
-    unequal rank broadcast after it.
+    (N, M, 2) difference tensor.  Below ``_PRODUCT_ENTRIES`` entries of
+    the whole block (B x M x N) they are two broadcast subtractions.  At
+    or above it both planes come from one BLAS product of the block's
+    slices of the pass's operands.  Each entry c_i * 1 + 1 * (-c_j) sums
+    two exact products with one rounding, so it is c_i - c_j up to the
+    sign of a zero (or of a NaN), whatever the slice and whatever the
+    order or fusing of the dgemm kernel; the squares, and so the
+    distances, are the same bits.
     """
-    if pts.shape[-2] * oth.shape[-2] < _PRODUCT_ENTRIES:
+    if ops is None or pts.size // 2 * oth.shape[-2] < _PRODUCT_ENTRIES:
         dx = pts[..., :, 0, None] - oth[..., None, :, 0]
         dy = pts[..., :, 1, None] - oth[..., None, :, 1]
     else:
-        rows = np.empty((2,) + (1,) * (oth.ndim - pts.ndim) + pts.shape[:-1] + (2,))
-        rows[0, ..., 0] = pts[..., 0]
-        rows[1, ..., 0] = pts[..., 1]
-        rows[..., 1] = 1.0
-        cols = np.empty((2,) + (1,) * (pts.ndim - oth.ndim) + oth.shape[:-2] + (2, oth.shape[-2]))
-        cols[..., 0, :] = 1.0
-        np.negative(oth[..., 0], out=cols[0, ..., 1, :])
-        np.negative(oth[..., 1], out=cols[1, ..., 1, :])
-        dx, dy = rows @ cols
+        rows, cols = ops
+        dx, dy = rows[..., s : s + pts.shape[-2], :] @ cols[..., cols.shape[-1] - oth.shape[-2] :]
     dx *= dx
     dy *= dy
     dx += dy
@@ -329,13 +387,14 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     pts = as_points(points)
     n = len(pts)
     kmat = np.empty((n, n))
+    ops = _operands(pts, pts)
     # Distances between coordinates near the float limit overflow to inf,
     # where every family's G is 0.
     with np.errstate(over="ignore"):
         for s, e in _plan(n, n)[0]:
-            dist = _pairwise_distances(pts[s:e], pts[s:])
+            dist = _pairwise_distances(pts[s:e], pts[s:], ops, s)
             # d_ij == d_ji exactly, so the mirrored entries are the same bits.
-            values = _kernel_terms(spec, dist)[0]
+            values = _kernel_terms(spec, dist, slope=False)[0]
             zero = _coincident(dist)
             if zero is not None:
                 i, j = np.argwhere(zero)[0]

@@ -46,6 +46,7 @@ from .kernels import (
     KernelSpec,
     _coincident,
     _kernel_terms,
+    _operands,
     _pairwise_distances,
     _plan,
     as_points,
@@ -142,8 +143,10 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
 
     The work follows the block plan :func:`~geoshoot.kernels._plan` (N, N):
     members in chunks, and each chunk's K and A built one upper block at
-    a time, rows s:e against columns s:N, whose diagonal and coincident
-    pairs :func:`~geoshoot.kernels._coincident` sets apart.  The block
+    a time, rows s:e against columns s:N, whose distances come from the
+    chunk's product operands (:func:`~geoshoot.kernels._operands`, built
+    once per chunk) and whose diagonal and coincident pairs
+    :func:`~geoshoot.kernels._coincident` sets apart.  The block
     gives rows s:e their terms from columns s:N, and its columns e:N,
     transposed, give rows e:N their terms from columns s:e.  The first
     block writes its rows in place and later ones add to them, so a
@@ -165,11 +168,12 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
             members = slice(c, c + chunk)
             qc, pc, dqc, dpc = q[members], p[members], dq[members], dp[members]
             kc = tuple(v if np.ndim(v) == 0 else v[members] for v in k)
+        ops = _operands(qc, qc)
         for s, e in spans:
             # Columns s:N; the first block spans them all.
             qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
             qe = qc[:, s:e]
-            dist = _pairwise_distances(qe, qs)
+            dist = _pairwise_distances(qe, qs, ops, s)
             kmat, a = _kernel_terms(kernel, dist, kc)
             pdot = pc[:, s:e] @ ps.transpose(0, 2, 1)
             # Each row's own pair and any coincident pair get A = 0 and
@@ -263,10 +267,11 @@ def velocity_field(spec: SystemSpec, state: ParticleState, x) -> np.ndarray:
     single = x_arr.ndim == 1
     pts = as_points(np.atleast_2d(x_arr), "x")
     u = np.empty_like(pts)
+    ops = _operands(pts, state.q)
     with np.errstate(over="ignore"):
         for s, e in _plan(len(pts), state.n)[0]:
-            dist = _pairwise_distances(pts[s:e], state.q)
-            u[s:e] = _kernel_terms(spec.kernel, dist)[0] @ state.p
+            dist = _pairwise_distances(pts[s:e], state.q, ops, s)
+            u[s:e] = _kernel_terms(spec.kernel, dist, slope=False)[0] @ state.p
     return u[0] if single else u
 
 

@@ -26,7 +26,7 @@ from .errors import (
     require_count,
     require_positive,
 )
-from .kernels import _coincident, _pairwise_distances, _plan, as_points
+from .kernels import _coincident, _operands, _pairwise_distances, _plan, as_points
 
 __all__ = [
     "LandmarkTemplate",
@@ -50,11 +50,12 @@ class LandmarkTemplate:
 
     def __post_init__(self):
         pts = as_points(self.points)
+        ops = _operands(pts, pts)
         # Distances between coordinates near the float limit overflow to
         # inf, which is not a coincidence.
         with np.errstate(over="ignore"):
             for s, e in _plan(len(pts), len(pts))[0]:
-                zero = _coincident(_pairwise_distances(pts[s:e], pts[s:]))
+                zero = _coincident(_pairwise_distances(pts[s:e], pts[s:], ops, s))
                 if zero is not None:
                     i, j = np.argwhere(zero)[0]
                     raise DegenerateConfigurationError(

@@ -35,6 +35,7 @@ from geoshoot import (
     circle,
     heart4,
     rhs,
+    velocity_field,
 )
 from geoshoot import kernels
 
@@ -157,6 +158,66 @@ def test_gaussian_slope_is_zero_where_r_over_alpha2_overflows():
             assert np.array_equal(kernel_derivative(spec, radii), np.zeros(2))
 
 
+RADII = np.concatenate(
+    ([0.0, 5e-324, 1e-320], np.geomspace(1e-8, 30.0, 2000), [1e308, 1.7e308])
+)
+
+
+@pytest.mark.parametrize("alpha", [2.0**-4, 0.5, 1.0, 2.0, 16.0])
+def test_exact_reciprocals_give_the_division_bits(alpha):
+    """At a power-of-two width the spec records exact reciprocals, and
+    every family's G and dG/dr, in both normalizations, from 0 and the
+    subnormals to 1.7e308, are the bits of the division form (the same
+    constants marked inexact); the value-only evaluation gives that G."""
+    families = [("conical", 1.5), ("gaussian", 1.5), ("bessel", 2.0), ("bessel", 2.5)]
+    with np.errstate(all="ignore"):  # radii / alpha overflow near 1.7e308
+        for family, nu in families:
+            for normalized in (True, False):
+                spec = KernelSpec(family=family, nu=nu, alpha=alpha, normalized=normalized)
+                assert spec._k[-1] is True
+                divided = kernels._kernel_terms(spec, RADII, spec._k[:-1] + (False,))
+                multiplied = kernels._kernel_terms(spec, RADII)
+                for got, want in zip(multiplied, divided):
+                    assert got.tobytes() == want.tobytes(), (family, normalized)
+                value, slope = kernels._kernel_terms(spec, RADII, slope=False)
+                assert slope is None and value.tobytes() == divided[0].tobytes()
+
+
+def test_spec_records_whether_its_reciprocals_are_exact():
+    """Only a power-of-two width whose reciprocals 1 / alpha and
+    1 / alpha**2 are finite counts as exact: at 2**-512, alpha**2 is
+    2**-1024 and its reciprocal overflows, so that spec divides (the
+    bessel factor rules out such widths)."""
+    for family in KernelFamily:
+        for alpha, exact in [(1.0, True), (0.5, True), (0.7, False), (math.sqrt(0.4), False)]:
+            assert KernelSpec(family=family, nu=2.5, alpha=alpha)._k[-1] is exact, (alpha, family)
+    for family in ("conical", "gaussian"):
+        for alpha, exact in [(2.0**-511, True), (2.0**500, True), (2.0**-512, False), (3.0, False)]:
+            assert KernelSpec(family=family, alpha=alpha)._k[-1] is exact, (alpha, family)
+
+
+def test_value_only_passes_evaluate_one_bessel_order():
+    """gram_matrix and velocity_field keep only G, so a bessel kernel
+    calls kv once per block, not twice, and G keeps the bits of the full
+    evaluation."""
+    import scipy.special
+
+    n = 300
+    pts = heart4(n).points
+    spec = KernelSpec(family="bessel", nu=2.5)
+    state = ParticleState(pts, np.random.default_rng(1).normal(size=(n, 2)))
+    x = pts[::2] + 0.1
+    with mock.patch.object(scipy.special, "kv", wraps=scipy.special.kv) as kv:
+        kmat = gram_matrix(spec, pts)
+        assert kv.call_count == len(kernels._plan(n, n)[0]) > 1
+        kv.reset_mock()
+        u = velocity_field(SystemSpec(spec), state, x)
+        assert kv.call_count == len(kernels._plan(len(x), n)[0]) > 1
+    assert kmat.tobytes() == kernels._kernel_terms(spec, pairwise_distances(pts))[0].tobytes()
+    full = kernels._kernel_terms(spec, pairwise_distances(x, pts))[0]
+    assert u.tobytes() == (full @ state.p).tobytes()
+
+
 def test_spec_keeps_its_constants_outside_its_fields():
     """A spec computes its evaluation constants once, when it is built.
     A replaced or unpickled spec carries the constants of a fresh spec
@@ -260,12 +321,14 @@ def _bits(d):
 
 def _distance_battery() -> dict:
     """(points, others) pairs on both sides of kernels._PRODUCT_ENTRIES
-    (1024 entries per member), with broadcasting batch axes, Fortran
-    order, strides and float limits."""
+    (2048 entries of the whole stack), with broadcasting batch axes,
+    Fortran order, strides and float limits."""
     rng = np.random.default_rng(11)
     cases = {
         f"{m}x{n}": (10.0 * rng.normal(size=(m, 2)), rng.normal(size=(n, 2)))
-        for m, n in [(3, 5), (31, 33), (32, 32), (1, 1024), (1024, 1), (64, 64), (37, 200)]
+        for m, n in [
+            (3, 5), (31, 33), (32, 32), (45, 45), (32, 64), (1, 1024), (1024, 1), (64, 64), (37, 200)
+        ]
     }
     cases["batch-4x6x7"] = (rng.normal(size=(4, 6, 2)), rng.normal(size=(7, 2)))
     cases["batch-3x40x50"] = (rng.normal(size=(3, 40, 2)), rng.normal(size=(50, 2)))
@@ -303,15 +366,65 @@ def test_pairwise_distances_equal_the_plain_formula(case):
             assert _bits(pairwise_distances(points, others)) == want
 
 
+def test_product_path_counts_the_entries_of_the_whole_stack():
+    """A block takes the BLAS product from 2048 entries of the whole
+    stack, B x M x N: one 32 x 32 block (1024) takes the broadcast and a
+    stack of four (4096) the product.  Operands full of NaN show the path
+    a block took; the coincidence test follows the same rule."""
+    rng = np.random.default_rng(3)
+    for batch, product in (((), False), ((4,), True)):
+        pts = rng.normal(size=batch + (32, 2))
+        assert (kernels._operands(pts, pts) is not None) == product
+        poisoned = (np.full((2,) + pts.shape, np.nan), np.full((2,) + batch + (2, 32), np.nan))
+        nan = np.isnan(kernels._pairwise_distances(pts, pts, poisoned))
+        assert nan.all() if product else not nan.any()
+        with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as count:
+            assert kernels._coincident(pairwise_distances(pts)) is None
+        assert count.called != product
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "stack"])
+def test_pass_blocks_from_shared_operands_equal_the_plain_formula(batch):
+    """A pass builds its product operands once, and each block takes its
+    differences from slices of them: rows s:e against columns s:N of a
+    self pass, and against every column of a pass against other points.
+    Every block is the plain formula's bits, signed zeros and float
+    limits included."""
+    rng = np.random.default_rng(17)
+    limits = np.array([0.0, -0.0, 1e-320, 1e308, -1e308, 1.0, -2.5])
+    pts = rng.normal(size=batch + (90, 2))
+    pts[..., ::5, :] = rng.choice(limits, size=batch + (18, 2))
+    oth = rng.normal(size=batch + (70, 2))
+    spans = [(0, 1), (1, 8), (8, 41), (41, 90)]
+    with np.errstate(all="ignore"), mock.patch.object(kernels, "_PRODUCT_ENTRIES", 1):
+        for others, upper in ((pts, True), (oth, False)):
+            ops = kernels._operands(pts, others)
+            for s, e in spans:
+                block, cols = pts[..., s:e, :], others[..., s:, :] if upper else others
+                got = kernels._pairwise_distances(block, cols, ops, s)
+                assert _bits(got) == _bits(_plain_distances(block, cols)), (s, e, upper)
+
+
 @pytest.mark.parametrize("n", [6, 16, 64, 200, 1024])
 def test_rhs_and_gram_bits_do_not_depend_on_the_product_threshold(n):
     """With the threshold above every block, every difference is a
-    broadcast subtraction; rhs, the Gram matrix and H keep their bytes."""
+    broadcast subtraction; rhs, the Gram matrix, H, the velocity field at
+    n // 2 sample points and the template check (which names the first
+    coincident pair) keep their bytes."""
     q = heart4(n).points
     spec, state = SystemSpec(), ParticleState(q, np.random.default_rng(n).normal(size=(n, 2)))
+    x = q[::2] + 0.1
+    clash = q.copy()
+    clash[-1] = clash[1]
 
     def run():
-        return (*rhs(spec, state), gram_matrix(spec.kernel, q), hamiltonian(spec, state))
+        assert LandmarkTemplate(q).n == n
+        with pytest.raises(DegenerateConfigurationError) as err:
+            LandmarkTemplate(clash)
+        return (
+            *rhs(spec, state), gram_matrix(spec.kernel, q), hamiltonian(spec, state),
+            velocity_field(spec, state, x), str(err.value),
+        )
 
     product = run()
     with mock.patch.object(kernels, "_PRODUCT_ENTRIES", n * n + 1):
@@ -349,8 +462,9 @@ def test_match_bits_do_not_depend_on_the_product_threshold():
 @pytest.mark.parametrize("coretype", ["Nehalem", "Haswell"])
 def test_distance_bits_hold_under_other_dgemm_kernels(coretype):
     """The product's exactness holds for any order or fusing of the two
-    products, so the battery and the threshold pins pass again in a fresh
-    interpreter whose OpenBLAS runs the dgemm kernel of another core."""
+    products, so the battery, the pass blocks taken from shared operands
+    and the threshold pins pass again in a fresh interpreter whose
+    OpenBLAS runs the dgemm kernel of another core."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(

@@ -436,6 +436,33 @@ def test_stacked_rhs_equals_each_member_alone_across_upper_blocks():
 
 
 @pytest.mark.parametrize("n", [16, 200])
+@pytest.mark.parametrize(
+    "widths", [(0.5, 1.0), (1.0, math.sqrt(0.4))], ids=["exact-widths", "mixed-widths"]
+)
+def test_stacked_rhs_of_power_of_two_widths_equals_each_member_alone(widths, n):
+    """A stack whose widths are all powers of two multiplies by their
+    exact reciprocals; one that mixes in another width divides.  Either
+    way every member is bit-equal to a lone call, which multiplies at
+    alpha = 0.5 and 1 and divides at sqrt(0.4)."""
+    rng = np.random.default_rng(n)
+    q = circle(2.0, n=n).points + 0.01 * rng.normal(size=(2, n, 2))
+    p = rng.normal(size=(2, n, 2))
+    for family in KernelFamily:
+        for normalized in (True, False):
+            specs = [
+                KernelSpec(family=family, nu=2.5, alpha=a, normalized=normalized) for a in widths
+            ]
+            exact = particles._constants([SystemSpec(kernel=s) for s in specs])[-2]
+            assert (exact is True) == (widths == (0.5, 1.0))
+            dq, dp, clashes = _stacked_rhs(specs, 0.0, q, p)
+            assert clashes == {}
+            for b, spec in enumerate(specs):
+                alone = rhs(SystemSpec(kernel=spec), ParticleState(q[b], p[b]))
+                assert dq[b].tobytes() == alone[0].tobytes()
+                assert dp[b].tobytes() == alone[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 200])
 def test_stacked_rhs_with_mixed_sigma2_equals_each_member_alone(n):
     """Members differ in sigma2 as well as in alpha: those with sigma2 = 0
     get no sigma2 p term at all, and every member is bit-equal to a lone
