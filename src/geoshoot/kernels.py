@@ -266,7 +266,7 @@ def _coincident(dist: np.ndarray, weights: np.ndarray | None = None):
     zero: it is set to 1.0 in place, and to 0.0 in ``weights``, a block
     of pair weights that must skip it.  Any zero left is a coincident
     pair.  The test for one follows the size rule of
-    :func:`_pairwise_distances`: below ``_PRODUCT_ENTRIES`` entries of
+    :func:`_blocks`: below ``_PRODUCT_ENTRIES`` entries of
     the whole stack it counts the nonzeros, which costs less per call; at
     or above it ``dist.all()`` costs less per entry (9 against 23 us on a
     32 x 1024 block).  Both read NaN as nonzero, so unlike a minimum, a
@@ -307,7 +307,7 @@ def pairwise_distances(points, others=None) -> np.ndarray:
     (..., N, 2), for a (..., M, N) stack; any other shape raises
     ValueError.  The distances are those of the plain formula
     sqrt((x_i - x_j)^2 + (y_i - y_j)^2), bit for bit, whichever way
-    :func:`_pairwise_distances` forms the differences.
+    :func:`_blocks` forms the differences.
     """
     pts = np.asarray(points, dtype=float)
     oth = pts if others is None else np.asarray(others, dtype=float)
@@ -317,24 +317,23 @@ def pairwise_distances(points, others=None) -> np.ndarray:
     # The points carry the whole batch, so that they count its entries.
     batch = np.broadcast_shapes(pts.shape[:-2], oth.shape[:-2])
     pts = np.broadcast_to(pts, batch + pts.shape[-2:])
-    return _pairwise_distances(pts, oth, _operands(pts, oth))
+    dist = np.empty(batch + (pts.shape[-2], oth.shape[-2]))
+    # An empty pass has no blocks, and no plan: its rows divide by N.
+    if dist.size:
+        for s, e, block in _blocks(pts, oth):
+            dist[..., s:e, :] = block
+    return dist
 
 
 def _operands(pts: np.ndarray, oth: np.ndarray):
-    """The BLAS product operands of a pairwise pass of float points of
-    shape (..., M, 2) against others of shape (..., N, 2), built once for
-    every block of the pass, or None when the pass has fewer than
-    ``_PRODUCT_ENTRIES`` entries, so that none of its blocks takes the
-    product.  ``pts`` carries the batch of the pass: M x N times its
-    batch size counts the entries.
-
-    They are (2, ..., M, 2) rows and (2, ..., 2, N) columns: for plane c,
-    rows (c_i, 1) against columns (1, -c_j).  The plane axis leads, so
-    each plane of a stack is C-contiguous, and batch axes of unequal
-    rank broadcast after it.
+    """The BLAS product operands of a pass of float points (..., M, 2)
+    against others (..., N, 2): for plane c, (2, ..., M, 2) rows (c_i, 1)
+    and (2, ..., 2, N) columns (1, -c_j).  The plane axis leads, so each
+    plane of a stack is C-contiguous, and batch axes of unequal rank
+    broadcast after it.  Kept apart from :func:`_blocks`, its one caller,
+    so that tests can substitute operands that show which blocks take
+    the product.
     """
-    if pts.size // 2 * oth.shape[-2] < _PRODUCT_ENTRIES:
-        return None
     rows = np.empty((2,) + pts.shape)
     rows[0, ..., 0] = pts[..., 0]
     rows[1, ..., 0] = pts[..., 1]
@@ -346,36 +345,57 @@ def _operands(pts: np.ndarray, oth: np.ndarray):
     return rows, cols
 
 
-def _pairwise_distances(
-    pts: np.ndarray, oth: np.ndarray, ops: tuple | None = None, s: int = 0
-) -> np.ndarray:
-    """The distances of one block of a pairwise pass, with no input check:
-    the form every pairwise pass calls.  The block takes rows s:s+M of
-    the pass's points, given as ``pts`` (..., M, 2), against the pass's
-    last N others, given as ``oth`` (..., N, 2); ``ops`` is
-    :func:`_operands` of the whole pass, with ``pts`` carrying the
-    block's batch.
+def _blocks(pts: np.ndarray, others: np.ndarray | None = None, spans: tuple | None = None):
+    """The one pairwise pass, unchecked: (s, e, dist) for each row span
+    (s, e) of :func:`_plan`, or of ``spans`` when the caller has the plan
+    already.  With ``others``, dist is rows s:e of the float points
+    ``pts`` (..., M, 2) against all of ``others`` (..., N, 2); without,
+    the upper block of the points against themselves, rows s:e against
+    columns s:N, its diagonal zeros left for :func:`_coincident`.
+    ``pts`` carries the batch of the pass, so that it counts the entries.
+    Each block is a fresh array.
 
-    Works on the two coordinate differences in place, never on an
-    (N, M, 2) difference tensor.  Below ``_PRODUCT_ENTRIES`` entries of
-    the whole block (B x M x N) they are two broadcast subtractions.  At
-    or above it both planes come from one BLAS product of the block's
-    slices of the pass's operands.  Each entry c_i * 1 + 1 * (-c_j) sums
-    two exact products with one rounding, so it is c_i - c_j up to the
-    sign of a zero (or of a NaN), whatever the slice and whatever the
-    order or fusing of the dgemm kernel; the squares, and so the
-    distances, are the same bits.
+    The two coordinate differences are worked on in place, never as an
+    (N, M, 2) tensor: below ``_PRODUCT_ENTRIES`` entries of the whole
+    block (B x rows x columns) from two broadcast subtractions, at or
+    above it from one BLAS product of slices of the pass's
+    :func:`_operands`.  Each product entry c_i * 1 + 1 * (-c_j) sums two
+    exact products with one rounding, so it is c_i - c_j up to the sign
+    of a zero (or of a NaN), whatever the slice and the dgemm kernel's
+    order or fusing; the distances are the same bits.
+
+    No ``np.errstate`` is entered here: one entered in a generator stays
+    active in its caller across every ``yield``, so callers keep theirs.
     """
-    if ops is None or pts.size // 2 * oth.shape[-2] < _PRODUCT_ENTRIES:
-        dx = pts[..., :, 0, None] - oth[..., None, :, 0]
-        dy = pts[..., :, 1, None] - oth[..., None, :, 1]
-    else:
-        rows, cols = ops
-        dx, dy = rows[..., s : s + pts.shape[-2], :] @ cols[..., cols.shape[-1] - oth.shape[-2] :]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+    oth = pts if others is None else others
+    m, n = pts.shape[-2], oth.shape[-2]
+    ops = _operands(pts, oth) if pts.size // 2 * n >= _PRODUCT_ENTRIES else None
+    for s, e in _plan(m, n)[0] if spans is None else spans:
+        lo = 0 if others is not None else s
+        # A pass of one block takes no slices.
+        whole = e - s == m
+        rows, cols = (pts, oth) if whole else (pts[..., s:e, :], oth[..., lo:, :])
+        if ops is None or rows.size // 2 * cols.shape[-2] < _PRODUCT_ENTRIES:
+            dx = rows[..., :, 0, None] - cols[..., None, :, 0]
+            dy = rows[..., :, 1, None] - cols[..., None, :, 1]
+        else:
+            dx, dy = ops[0] @ ops[1] if whole else ops[0][..., s:e, :] @ ops[1][..., lo:]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        yield s, e, np.sqrt(dx, out=dx)
+
+
+def _require_distinct(dist: np.ndarray, s: int, noun: str, suffix: str) -> None:
+    """Raise DegenerateConfigurationError "<noun> i and j coincide<suffix>"
+    for the first coincident pair, by global indices and lower first, of
+    the upper block ``dist`` that :func:`_blocks` yields for rows s:e of
+    a self pass; the one coincidence error of every point set that must
+    be distinct."""
+    zero = _coincident(dist)
+    if zero is not None:
+        i, j = np.argwhere(zero)[0]
+        raise DegenerateConfigurationError(f"{noun} {s + i} and {s + j} coincide{suffix}")
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
@@ -387,20 +407,13 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     pts = as_points(points)
     n = len(pts)
     kmat = np.empty((n, n))
-    ops = _operands(pts, pts)
     # Distances between coordinates near the float limit overflow to inf,
     # where every family's G is 0.
     with np.errstate(over="ignore"):
-        for s, e in _plan(n, n)[0]:
-            dist = _pairwise_distances(pts[s:e], pts[s:], ops, s)
+        for s, e, dist in _blocks(pts):
             # d_ij == d_ji exactly, so the mirrored entries are the same bits.
             values = _kernel_terms(spec, dist, slope=False)[0]
-            zero = _coincident(dist)
-            if zero is not None:
-                i, j = np.argwhere(zero)[0]
-                raise DegenerateConfigurationError(
-                    f"points {s + i} and {s + j} coincide; Gram matrix would be singular"
-                )
+            _require_distinct(dist, s, "points", "; Gram matrix would be singular")
             kmat[s:e, s:] = values
             kmat[e:, s:e] = values[:, e - s :].T
     return kmat

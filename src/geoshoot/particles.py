@@ -25,9 +25,9 @@ advance in lockstep; each member's arithmetic is the same as alone.
 Each kernel computes its constants once, when its ``KernelSpec`` is
 built, and :func:`_constants`, beside ``_rhs``, its one reader, stacks
 them with each system's sigma2 once per shoot.  Every kernel sum here
-runs in the row spans of the block plan :func:`geoshoot.kernels._plan`,
-computed once per shape and block budget rather than on every stage,
-so no full (N, N) matrix is held.  ``_rhs`` takes the particles
+is one block pass, :func:`geoshoot.kernels._blocks`, which yields the
+distances of each row span of the block plan in turn, so no full
+(N, N) matrix is held.  ``_rhs`` takes the particles
 against themselves in upper blocks, rows s:e against columns s:N: K
 and A are symmetric, so each block's strictly upper part, transposed,
 also gives rows e:N their terms from rows s:e, and every pair's
@@ -42,15 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateConfigurationError
-from .kernels import (
-    KernelSpec,
-    _coincident,
-    _kernel_terms,
-    _operands,
-    _pairwise_distances,
-    _plan,
-    as_points,
-)
+from .kernels import KernelSpec, _blocks, _coincident, _kernel_terms, _plan, as_points
 
 __all__ = [
     "ParticleState",
@@ -141,12 +133,13 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     interacting coincident pair to the error that pair raises, and that
     member's (dq, dp) is then meaningless.
 
-    The work follows the block plan :func:`~geoshoot.kernels._plan` (N, N):
-    members in chunks, and each chunk's K and A built one upper block at
-    a time, rows s:e against columns s:N, whose distances come from the
-    chunk's product operands (:func:`~geoshoot.kernels._operands`, built
-    once per chunk) and whose diagonal and coincident pairs
-    :func:`~geoshoot.kernels._coincident` sets apart.  The block
+    The work follows the block plan :func:`~geoshoot.kernels._plan` (N, N),
+    looked up once per call: members in chunks, and each chunk's K and A
+    built one upper block at a time from the chunk's self pass
+    :func:`~geoshoot.kernels._blocks`, rows s:e against columns s:N.
+    Each block's kernel terms are taken from its raw distances, zero on
+    the diagonal, before :func:`~geoshoot.kernels._coincident` sets the
+    diagonal and any coincident pair apart.  The block
     gives rows s:e their terms from columns s:N, and its columns e:N,
     transposed, give rows e:N their terms from columns s:e.  The first
     block writes its rows in place and later ones add to them, so a
@@ -168,14 +161,13 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
             members = slice(c, c + chunk)
             qc, pc, dqc, dpc = q[members], p[members], dq[members], dp[members]
             kc = tuple(v if np.ndim(v) == 0 else v[members] for v in k)
-        ops = _operands(qc, qc)
-        for s, e in spans:
-            # Columns s:N; the first block spans them all.
+        for s, e, dist in _blocks(qc, spans=spans):
+            # Columns s:N; the first block spans them all, and a system of
+            # one block takes no slices.
             qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
-            qe = qc[:, s:e]
-            dist = _pairwise_distances(qe, qs, ops, s)
+            qe, pe = (qc[:, s:e], pc[:, s:e]) if e - s < n else (qc, pc)
             kmat, a = _kernel_terms(kernel, dist, kc)
-            pdot = pc[:, s:e] @ ps.transpose(0, 2, 1)
+            pdot = pe @ ps.transpose(0, 2, 1)
             # Each row's own pair and any coincident pair get A = 0 and
             # distance 1.0 before the division, which keeps them +0.
             a *= pdot
@@ -207,10 +199,10 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
             at = a[:, :, e - s :].transpose(0, 2, 1)
             col_sums = np.add.reduce(at, axis=2, keepdims=True)
             if s == 0:
-                np.matmul(kt, pc[:, s:e], out=dqc[:, e:])
+                np.matmul(kt, pe, out=dqc[:, e:])
                 np.subtract(at @ qe, col_sums * qc[:, e:], out=dpc[:, e:])
             else:
-                dqc[:, e:] += kt @ pc[:, s:e]
+                dqc[:, e:] += kt @ pe
                 dpc[:, e:] += at @ qe - col_sums * qc[:, e:]
     # A shared sigma2 is a float, tested without a numpy call.
     if isinstance(sigma2, np.ndarray):
@@ -267,10 +259,8 @@ def velocity_field(spec: SystemSpec, state: ParticleState, x) -> np.ndarray:
     single = x_arr.ndim == 1
     pts = as_points(np.atleast_2d(x_arr), "x")
     u = np.empty_like(pts)
-    ops = _operands(pts, state.q)
     with np.errstate(over="ignore"):
-        for s, e in _plan(len(pts), state.n)[0]:
-            dist = _pairwise_distances(pts[s:e], state.q, ops, s)
+        for s, e, dist in _blocks(pts, state.q):
             u[s:e] = _kernel_terms(spec.kernel, dist, slope=False)[0] @ state.p
     return u[0] if single else u
 

@@ -22,11 +22,10 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DegenerateConfigurationError,
     require_count,
     require_positive,
 )
-from .kernels import _coincident, _operands, _pairwise_distances, _plan, as_points
+from .kernels import _blocks, _require_distinct, as_points
 
 __all__ = [
     "LandmarkTemplate",
@@ -50,17 +49,11 @@ class LandmarkTemplate:
 
     def __post_init__(self):
         pts = as_points(self.points)
-        ops = _operands(pts, pts)
         # Distances between coordinates near the float limit overflow to
         # inf, which is not a coincidence.
         with np.errstate(over="ignore"):
-            for s, e in _plan(len(pts), len(pts))[0]:
-                zero = _coincident(_pairwise_distances(pts[s:e], pts[s:], ops, s))
-                if zero is not None:
-                    i, j = np.argwhere(zero)[0]
-                    raise DegenerateConfigurationError(
-                        f"landmarks {s + i} and {s + j} coincide in template {self.label!r}"
-                    )
+            for s, _, dist in _blocks(pts):
+                _require_distinct(dist, s, "landmarks", f" in template {self.label!r}")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,21 @@ def test_a_non_finite_member_does_not_hide_a_clash():
     with pytest.raises(DegenerateConfigurationError) as err:
         evolve(SystemSpec(kernel=specs[1]), ParticleState(q[1], p[1]), config)
     assert str(failures[1]) == str(err.value)
+
+
+def test_a_step_reports_the_clash_of_its_first_stage():
+    """A member whose four stages of one step each clash fails with the
+    first stage's clash, whatever the later stages raise."""
+    stages = []
+
+    def clashing_rhs(kernel, y, k):
+        stages.append(len(stages) + 1)
+        return np.zeros_like(y), {0: DegenerateConfigurationError(f"stage {stages[-1]}")}
+
+    with mock.patch.object(integrator, "_rhs", clashing_rhs):
+        with pytest.raises(DegenerateConfigurationError, match=r"^stage 1 \(during step 1,"):
+            evolve(SystemSpec(), _swirl_state(), EvolveConfig(steps=1))
+    assert stages == [1, 2, 3, 4]
 
 
 def test_gaussian_system_stays_finite_where_distances_overflow():

@@ -347,6 +347,10 @@ def _distance_battery() -> dict:
     )
     for m, n in [(6, 5), (64, 48)]:
         cases[f"limits-{m}x{n}"] = (rng.choice(limits, size=(m, 2)), rng.choice(limits, size=(n, 2)))
+    # Passes of several blocks (109 rows against themselves, 163 against
+    # 200 others), and of none.
+    for m, n in [(300, 200), (0, 5), (5, 0)]:
+        cases[f"{m}x{n}"] = (10.0 * rng.normal(size=(m, 2)), rng.normal(size=(n, 2)))
     return cases
 
 
@@ -366,43 +370,78 @@ def test_pairwise_distances_equal_the_plain_formula(case):
             assert _bits(pairwise_distances(points, others)) == want
 
 
-def test_product_path_counts_the_entries_of_the_whole_stack():
-    """A block takes the BLAS product from 2048 entries of the whole
-    stack, B x M x N: one 32 x 32 block (1024) takes the broadcast and a
-    stack of four (4096) the product.  Operands full of NaN show the path
-    a block took; the coincidence test follows the same rule."""
+def _poisoned(pts, n):
+    """Product operands full of NaN for a pass of ``pts`` against n others."""
+    return np.full((2,) + pts.shape, np.nan), np.full((2,) + pts.shape[:-2] + (2, n), np.nan)
+
+
+def test_product_threshold_counts_the_entries_of_the_whole_stack():
+    """A pass takes the BLAS product from 2048 entries of the whole stack,
+    B x M x N: one 32 x 32 block (1024) takes the broadcast, and stacks
+    of two (2048, the threshold itself) and of four the product.
+    Operands full of NaN show the path each pass took; the coincidence
+    test follows the same rule."""
     rng = np.random.default_rng(3)
-    for batch, product in (((), False), ((4,), True)):
+    for batch, product in (((), False), ((2,), True), ((4,), True)):
         pts = rng.normal(size=batch + (32, 2))
-        assert (kernels._operands(pts, pts) is not None) == product
-        poisoned = (np.full((2,) + pts.shape, np.nan), np.full((2,) + batch + (2, 32), np.nan))
-        nan = np.isnan(kernels._pairwise_distances(pts, pts, poisoned))
-        assert nan.all() if product else not nan.any()
+        with mock.patch.object(kernels, "_operands", return_value=_poisoned(pts, 32)) as ops:
+            nan = np.isnan(pairwise_distances(pts))
+            [(s, e, upper)] = kernels._blocks(pts)
+        assert ops.call_count == 2 * product and (s, e) == (0, 32)
+        if product:
+            assert nan.all() and np.isnan(upper).all()
+        else:
+            assert not (nan.any() or np.isnan(upper).any())
         with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as count:
             assert kernels._coincident(pairwise_distances(pts)) is None
         assert count.called != product
+
+
+def test_product_threshold_holds_per_block_of_a_pass():
+    """A pass of 64 points (4096 entries) builds its operands, and each of
+    its blocks follows the rule on its own entries: in blocks of 48 rows
+    the first block (48 x 64) takes the product, and the last (16 x 16
+    of the upper pass, 16 x 64 against others) the broadcast."""
+    rng = np.random.default_rng(5)
+    pts, oth = rng.normal(size=(64, 2)), rng.normal(size=(64, 2))
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", 48 * 64):
+        for others in (None, oth):
+            with mock.patch.object(kernels, "_operands", return_value=_poisoned(pts, 64)):
+                (s0, e0, first), (s1, e1, last) = kernels._blocks(pts, others)
+            assert (s0, e0, s1, e1) == (0, 48, 48, 64)
+            assert np.isnan(first).all() and not np.isnan(last).any()
+            cols = pts[48:] if others is None else others
+            assert _bits(last) == _bits(_plain_distances(pts[48:], cols))
 
 
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "stack"])
 def test_pass_blocks_from_shared_operands_equal_the_plain_formula(batch):
     """A pass builds its product operands once, and each block takes its
     differences from slices of them: rows s:e against columns s:N of a
-    self pass, and against every column of a pass against other points.
-    Every block is the plain formula's bits, signed zeros and float
-    limits included."""
+    self pass, and against every column of a pass against other points,
+    under given spans and under a patched block budget.  Every block is
+    the plain formula's bits, signed zeros and float limits included."""
     rng = np.random.default_rng(17)
     limits = np.array([0.0, -0.0, 1e-320, 1e308, -1e308, 1.0, -2.5])
     pts = rng.normal(size=batch + (90, 2))
     pts[..., ::5, :] = rng.choice(limits, size=batch + (18, 2))
     oth = rng.normal(size=batch + (70, 2))
-    spans = [(0, 1), (1, 8), (8, 41), (41, 90)]
+    spans = ((0, 1), (1, 8), (8, 41), (41, 90))
     with np.errstate(all="ignore"), mock.patch.object(kernels, "_PRODUCT_ENTRIES", 1):
-        for others, upper in ((pts, True), (oth, False)):
-            ops = kernels._operands(pts, others)
-            for s, e in spans:
-                block, cols = pts[..., s:e, :], others[..., s:, :] if upper else others
-                got = kernels._pairwise_distances(block, cols, ops, s)
-                assert _bits(got) == _bits(_plain_distances(block, cols)), (s, e, upper)
+        for others, n in ((None, 90), (oth, 70)):
+            # Given spans, then 20 rows per block against others and 15
+            # against the points themselves.
+            for budget, given in ((kernels._BLOCK_ENTRIES, spans), (20 * 70, None)):
+                with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget), mock.patch.object(
+                    kernels, "_operands", wraps=kernels._operands
+                ) as ops:
+                    blocks = list(kernels._blocks(pts, others, spans=given))
+                    assert [b[:2] for b in blocks] == list(given or kernels._plan(90, n)[0])
+                assert ops.call_count == 1 and len(blocks) > 3
+                for s, e, got in blocks:
+                    block = pts[..., s:e, :]
+                    cols = pts[..., s:, :] if others is None else others
+                    assert _bits(got) == _bits(_plain_distances(block, cols)), (s, e, n)
 
 
 @pytest.mark.parametrize("n", [6, 16, 64, 200, 1024])

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
@@ -503,6 +503,37 @@ def test_coincident_pair_across_upper_blocks_keeps_global_indices(rows):
             gram_matrix(KernelSpec(), q)
         with pytest.raises(DegenerateConfigurationError, match="landmarks 2 and 5 coincide"):
             LandmarkTemplate(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    budget=st.integers(1, 2 * 40 * 40),
+    seed=st.integers(0, 2**32 - 1),
+    planted=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), min_size=1, max_size=4),
+)
+def test_every_coincidence_error_names_the_first_pair(n, budget, seed, planted):
+    """With one or more planted duplicates, under any block budget (from
+    one row per block to one block), gram_matrix, LandmarkTemplate and
+    rhs each name the lexicographically first coincident pair (i < j)
+    by its global indices."""
+    q = np.random.default_rng(seed).normal(size=(n, 2))
+    for i, j in planted:
+        if i % n != j % n:
+            q[j % n] = q[i % n]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (q[i] == q[j]).all()]
+    assume(pairs)
+    i, j = pairs[0]
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
+        with pytest.raises(DegenerateConfigurationError) as gram:
+            gram_matrix(KernelSpec(), q)
+        with pytest.raises(DegenerateConfigurationError) as template:
+            LandmarkTemplate(q, "t")
+        with pytest.raises(DegenerateConfigurationError) as clash:
+            rhs(SystemSpec(), ParticleState(q, np.ones((n, 2))))
+    assert str(gram.value) == f"points {i} and {j} coincide; Gram matrix would be singular"
+    assert str(template.value) == f"landmarks {i} and {j} coincide in template 't'"
+    assert str(clash.value).startswith(f"particles {i} and {j} coincide with interacting momenta")
 
 
 def test_kernel_sums_agree_under_every_block_budget():

@@ -14,8 +14,14 @@ checkout, or of TREE.  Each run is a fresh interpreter with
 * a stacked ``_rhs`` (each stack's members differing in alpha and
   sigma2), ``gram_matrix``, ``velocity_field`` and
   ``momenta_from_velocity`` at N in {6, 16, 64, 200, 1024};
-* every ``MatchResult`` field of a panel match and of a Newton match,
-  and the iteration counts of a 2 x 2 ``convergence_sweep``.
+* the public ``pairwise_distances`` over passes of several blocks;
+* the coincidence errors of ``gram_matrix``, ``LandmarkTemplate`` and
+  ``rhs`` at N in {6, 16, 64, 200, 1024}, each naming the first of two
+  planted pairs, which spans two row blocks where N has more than one;
+* every ``MatchResult`` field of the six matches of the benchmark's
+  panel (circle onto each target at N = 64, 10 RK4 steps) and of a
+  Newton match, and the iteration counts of a 2 x 2
+  ``convergence_sweep``.
 
 With ``--against`` it prints how many digests are equal and the names
 whose digests differ or exist on one side only, and exits 1 if any do.
@@ -118,8 +124,46 @@ def _passes(out: dict) -> None:
                 try:
                     momenta = momenta_from_velocity(spec, q, p)
                 except DegenerateConfigurationError as exc:
-                    momenta = np.frombuffer(str(exc).encode(), dtype=np.uint8)
+                    momenta = _text(str(exc))
                 out[f"momenta/{tag}"] = _digest(momenta)
+
+
+def _text(message: str) -> np.ndarray:
+    return np.frombuffer(message.encode(), dtype=np.uint8)
+
+
+def _distances(out: dict) -> None:
+    from geoshoot import pairwise_distances
+
+    rng = np.random.default_rng(300)
+    pts, oth = 10.0 * rng.normal(size=(300, 2)), rng.normal(size=(200, 2))
+    out["distances/300x200"] = _digest(pairwise_distances(pts, oth))
+    out["distances/300x300"] = _digest(pairwise_distances(pts))
+
+
+def _coincidences(out: dict) -> None:
+    from geoshoot.errors import DegenerateConfigurationError
+    from geoshoot.kernels import KernelSpec, gram_matrix
+    from geoshoot.particles import ParticleState, SystemSpec, rhs
+    from geoshoot.shapes import LandmarkTemplate
+
+    for n in SIZES:
+        q, p = _state(n, n)
+        # Pairs (n/2 - 1, n - 1) and (n/2, n - 2): at N = 200 (blocks of 163
+        # rows) and 1024 (blocks of 32) the first spans two row blocks.
+        q[n - 1], q[n - 2] = q[n // 2 - 1], q[n // 2]
+        checks = {
+            "gram": lambda: gram_matrix(KernelSpec(), q),
+            "template": lambda: LandmarkTemplate(q, "clash"),
+            "rhs": lambda: rhs(SystemSpec(), ParticleState(q, p)),
+        }
+        for name, check in checks.items():
+            try:
+                check()
+                message = "no error"
+            except DegenerateConfigurationError as exc:
+                message = str(exc)
+            out[f"coincident/{name}-n{n}"] = _digest(_text(message))
 
 
 def _result_fields(out: dict, prefix: str, result) -> None:
@@ -130,18 +174,34 @@ def _result_fields(out: dict, prefix: str, result) -> None:
         if isinstance(value, LandmarkTemplate):
             value = value.points
         if not isinstance(value, np.ndarray):
-            value = np.frombuffer(repr(value).encode(), dtype=np.uint8)
+            value = _text(repr(value))
         out[f"{prefix}/{field.name}"] = _digest(value)
 
 
 def _matches(out: dict) -> None:
     from geoshoot.analysis import SweepGrid, convergence_sweep
     from geoshoot.integrator import EvolveConfig
-    from geoshoot.shapes import circle, heart4, standard_rotated_ellipse
+    from geoshoot.shapes import (
+        circle,
+        circle_ellipse_hybrid,
+        ellipse_rot_shift,
+        heart4,
+        square,
+        standard_rotated_ellipse,
+    )
     from geoshoot.shooting import ResidualNorm, ShootingConfig, match, newton_match
 
-    panel = match(circle(2.0, n=64), heart4(64), ShootingConfig(h=0.4, evolve=EvolveConfig(steps=10)))
-    _result_fields(out, "match/panel-n64", panel)
+    panel = {
+        "": (heart4(64), 0.4),
+        "-circle1": (circle(1.0, n=64), 0.3),
+        "-circle3": (circle(3.0, n=64), 0.3),
+        "-ellipse": (ellipse_rot_shift(1.0, 4.0, 0.0, (0.0, 0.0), 64), 0.3),
+        "-hybrid": (circle_ellipse_hybrid(3.0, 3.0, 1.0, 64), 0.3),
+        "-square": (square(4.0, 64), 0.3),
+    }
+    for name, (target, h) in panel.items():
+        cfg = ShootingConfig(h=h, evolve=EvolveConfig(steps=10))
+        _result_fields(out, f"match/panel-n64{name}", match(circle(2.0, n=64), target, cfg))
     ellipse = standard_rotated_ellipse(4.0, 1.0, -math.pi / 4, (1.0, 0.0), 6)
     cfg = ShootingConfig(h=1.0, norm=ResidualNorm.L2)
     _result_fields(out, "match/newton-n6", newton_match(circle(2.0, n=6), ellipse, cfg))
@@ -153,6 +213,8 @@ def digests() -> dict:
     out = {}
     _kernels(out)
     _passes(out)
+    _distances(out)
+    _coincidences(out)
     _matches(out)
     return out
 
