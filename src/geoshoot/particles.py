@@ -36,7 +36,13 @@ distance and kernel terms are computed once.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +122,65 @@ def _constants(systems) -> tuple:
     )
 
 
+def _block_terms(kernel, qc, pc, kc, s, e, dist, dq, dp, add):
+    """The terms of the upper block (s, e) of a chunk's self pass, written
+    (``add`` false) or added to ``dq`` and ``dp``, which hold rows s:N of
+    the chunk's (dq, dp): rows s:e their terms from columns s:N, and rows
+    e:N, from the block's strictly upper part transposed, their terms
+    from columns s:e.  ``dist`` is the block from
+    :func:`~geoshoot.kernels._blocks`; it is worked on in place.  Returns
+    the interacting coincident pairs as (member, i, j) with global
+    particle indices, in the order of ``np.argwhere``.  The one block
+    step of :func:`_rhs`, run by the caller and by the split worker
+    alike, so that a block's numbers are the same in either process.
+    """
+    n = qc.shape[1]
+    # Columns s:N; the first block spans them all, and a system of one
+    # block takes no slices.
+    qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
+    qe, pe = (qc[:, s:e], pc[:, s:e]) if e - s < n else (qc, pc)
+    kmat, a = _kernel_terms(kernel, dist, kc)
+    pdot = pe @ ps.transpose(0, 2, 1)
+    # Each row's own pair and any coincident pair get A = 0 and
+    # distance 1.0 before the division, which keeps them +0.
+    a *= pdot
+    found = ()
+    coincident = _coincident(dist, a)
+    if coincident is not None:
+        found = [
+            (int(b), s + int(i), s + int(j))
+            for b, i, j in np.argwhere(coincident & (pdot != 0.0))
+        ]
+        dist[coincident] = 1.0
+        a[coincident] = 0.0
+    a /= dist
+    # Rows s:e.  Writing rather than adding onto zeros keeps a -0, and at
+    # small N each temporary and copy is a measurable share of the call.
+    # A @ q - (A 1) q_i is the negated (A 1) q_i - A @ q, bit for bit.
+    row_sums = np.add.reduce(a, axis=2, keepdims=True)
+    rq, rp = (dq, dp) if e == n else (dq[:, : e - s], dp[:, : e - s])
+    if add:
+        rq += kmat @ ps
+        rp += a @ qs - row_sums * qe
+    else:
+        np.matmul(kmat, ps, out=rq)
+        np.subtract(a @ qs, row_sums * qe, out=rp)
+    if e == n:
+        return found
+    # Rows e:N, from the block's strictly upper part transposed.
+    kt = kmat[:, :, e - s :].transpose(0, 2, 1)
+    at = a[:, :, e - s :].transpose(0, 2, 1)
+    col_sums = np.add.reduce(at, axis=2, keepdims=True)
+    tq, tp = dq[:, e - s :], dp[:, e - s :]
+    if add:
+        tq += kt @ pe
+        tp += at @ qe - col_sums * qc[:, e:]
+    else:
+        np.matmul(kt, pe, out=tq)
+        np.subtract(at @ qe, col_sums * qc[:, e:], out=tp)
+    return found
+
+
 def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     """(d, clashes) on a raw (2, B, N, 2) state, with no input validation.
 
@@ -154,6 +219,7 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     dq, dp = d
     clashes = {}
     spans, chunk = _plan(n, n)
+    worker, cut = _worker_for(spans, n, min(chunk, len(q)))
     for c in range(0, len(q), chunk):
         if chunk >= len(q):
             qc, pc, dqc, dpc, kc = q, p, dq, dp, k
@@ -161,55 +227,245 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
             members = slice(c, c + chunk)
             qc, pc, dqc, dpc = q[members], p[members], dq[members], dp[members]
             kc = tuple(v if np.ndim(v) == 0 else v[members] for v in k)
-        for s, e, dist in _blocks(qc, spans=spans):
-            # Columns s:N; the first block spans them all, and a system of
-            # one block takes no slices.
-            qs, ps = (qc[:, s:], pc[:, s:]) if s else (qc, pc)
-            qe, pe = (qc[:, s:e], pc[:, s:e]) if e - s < n else (qc, pc)
-            kmat, a = _kernel_terms(kernel, dist, kc)
-            pdot = pe @ ps.transpose(0, 2, 1)
-            # Each row's own pair and any coincident pair get A = 0 and
-            # distance 1.0 before the division, which keeps them +0.
-            a *= pdot
-            coincident = _coincident(dist, a)
-            if coincident is not None:
-                for b, i, j in np.argwhere(coincident & (pdot != 0.0)):
-                    clashes.setdefault(int(c + b), DegenerateConfigurationError(
-                        f"particles {s + i} and {s + j} coincide with interacting "
-                        "momenta; the momentum equation is singular there"
-                    ))
-                dist[coincident] = 1.0
-                a[coincident] = 0.0
-            a /= dist
-            # Rows s:e.  The first block writes in place rather than adding
-            # onto zeros, which would round -0 to +0, and at small N each
-            # temporary and copy is a measurable share of the call.
-            # A @ q - (A 1) q_i is the negated (A 1) q_i - A @ q, bit for bit.
-            row_sums = np.add.reduce(a, axis=2, keepdims=True)
-            if s == 0:
-                np.matmul(kmat, ps, out=dqc[:, s:e])
-                np.subtract(a @ qs, row_sums * qe, out=dpc[:, s:e])
-            else:
-                dqc[:, s:e] += kmat @ ps
-                dpc[:, s:e] += a @ qs - row_sums * qe
-            if e == n:
-                continue
-            # Rows e:N, from the block's strictly upper part transposed.
-            kt = kmat[:, :, e - s :].transpose(0, 2, 1)
-            at = a[:, :, e - s :].transpose(0, 2, 1)
-            col_sums = np.add.reduce(at, axis=2, keepdims=True)
-            if s == 0:
-                np.matmul(kt, pe, out=dqc[:, e:])
-                np.subtract(at @ qe, col_sums * qc[:, e:], out=dpc[:, e:])
-            else:
-                dqc[:, e:] += kt @ pe
-                dpc[:, e:] += at @ qe - col_sums * qc[:, e:]
+        found = None if worker is None else worker.split(kernel, qc, pc, kc, spans, cut, dqc, dpc)
+        if found is None:
+            found = []
+            for s, e, dist in _blocks(qc, spans=spans):
+                rows = (dqc, dpc) if s == 0 else (dqc[:, s:], dpc[:, s:])
+                found += _block_terms(kernel, qc, pc, kc, s, e, dist, *rows, s != 0)
+        for b, i, j in found:
+            clashes.setdefault(c + b, DegenerateConfigurationError(
+                f"particles {i} and {j} coincide with interacting "
+                "momenta; the momentum equation is singular there"
+            ))
     # A shared sigma2 is a float, tested without a numpy call.
     if isinstance(sigma2, np.ndarray):
         np.add(dq, sigma2 * p, out=dq, where=sigma2 != 0.0)
     elif sigma2 != 0.0:
         dq += sigma2 * p
     return d, clashes
+
+
+# A pass splits where the smaller of its two halves, the caller's first
+# blocks and the worker's last ones, holds at least this share of the
+# larger one's entries.  Time of a one-member _rhs call, split over
+# serial (median of 40 alternated pairs on a 2-core x86-64 host, one
+# OpenBLAS thread), by N and share: 0.57-0.63 at 1024 (0.92), 0.64 at
+# 512 (0.71), 0.80-0.82 at 400 (0.65), 0.81-0.85 at 300 (0.84),
+# 0.82-0.88 at 256 (0.50), 0.92 at 250 (0.43), 0.96 at 240 (0.33) and
+# 1.03 at 200 (0.04).
+_SPLIT_SHARE = 0.5
+
+
+@functools.lru_cache(maxsize=64)
+def _split_at(spans: tuple, n: int, share: float) -> tuple:
+    """(k, floats) for a pass of ``spans`` over n columns: the caller keeps
+    blocks :k and the worker takes blocks k:, with k where the two
+    halves' entries come closest, and writes ``floats`` per member, rows
+    s:N of dq and dp for each of its blocks.  (0, 0) where the pass
+    stays serial: one block, or halves whose entries differ by more
+    than ``share``."""
+    entries = [(e - s) * (n - s) for s, e in spans]
+    total, head, best = sum(entries), 0, None
+    for k in range(1, len(spans)):
+        head += entries[k - 1]
+        if best is None or max(head, total - head) < max(best[1], total - best[1]):
+            best = (k, head)
+    if best is None or min(best[1], total - best[1]) < share * max(best[1], total - best[1]):
+        return 0, 0
+    k = best[0]
+    return k, sum(4 * (n - s) for s, _ in spans[k:])
+
+
+class _Worker:
+    """A forked process that computes the last upper blocks of a pass
+    while its caller computes the first ones.
+
+    The mapping is anonymous and shared, made before the fork, so no
+    named segment outlives a run.  The caller copies a chunk's state
+    (q, p) to its start; after it the worker writes, block by block, the
+    rows s:N of (dq, dp) that :func:`_block_terms` gives, and answers
+    each block on a pipe with its coincident pairs, or with None where
+    the block failed, which ends its answers to that pass.  The caller
+    adds each block's rows in block order, as the serial loop does, so
+    every number is formed by the same operations on the same inputs.
+    """
+
+    FLOATS = 1 << 23  # 64 MiB, pages touched only as passes need them
+
+    def __init__(self):
+        import mmap
+
+        self.floats = np.frombuffer(mmap.mmap(-1, 8 * self.FLOATS))
+        requests, replies = os.pipe(), os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns that BLAS's threads make fork unsafe;
+                # the child runs only numpy and exits with os._exit.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in requests + replies:
+                os.close(fd)
+            raise
+        if pid == 0:
+            try:
+                _serve(requests[0], replies[1], self.floats)
+            finally:
+                os._exit(0)
+        os.close(requests[0])
+        os.close(replies[1])
+        self.pid, self.lock = pid, threading.Lock()
+        self.requests, self.replies = os.fdopen(requests[1], "wb"), os.fdopen(replies[0], "rb")
+
+    def split(self, kernel, qc, pc, kc, spans, cut, dqc, dpc):
+        """The coincident pairs of one chunk's pass, run as the serial loop
+        of :func:`_rhs` with blocks ``cut``: taken from the worker, or None
+        where this call cannot use the worker: another thread holds it,
+        it died, or a block failed in either process.  Then the caller
+        recomputes the chunk serially, which raises whatever it must; an
+        error on this side, or the worker's loss, stops the worker.
+        """
+        if not self.lock.acquire(blocking=False):
+            return None
+        try:
+            b, n = qc.shape[:2]
+            y = self.floats[: 4 * b * n].reshape(2, b, n, 2)
+            y[0], y[1] = qc, pc
+            err = {kind: "raise" if act != "ignore" else act for kind, act in np.geterr().items()}
+            self.requests.write(pickle.dumps((kernel, kc, err, (b, n), spans[cut:])))
+            self.requests.flush()
+            found, at = [], y.size
+            for s, e, dist in _blocks(qc, spans=spans[:cut]):
+                rows = (dqc, dpc) if s == 0 else (dqc[:, s:], dpc[:, s:])
+                found += _block_terms(kernel, qc, pc, kc, s, e, dist, *rows, s != 0)
+            for s, _ in spans[cut:]:
+                pairs = pickle.load(self.replies)
+                if pairs is None:
+                    return None
+                tq, tp = self.floats[at : at + 4 * b * (n - s)].reshape(2, b, n - s, 2)
+                at += tq.size + tp.size
+                dqc[:, s:] += tq
+                dpc[:, s:] += tp
+                found += pairs
+            return found
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, Exception):
+                return None
+            raise
+        finally:
+            self.lock.release()
+
+    def close(self) -> None:
+        """Stop the worker and reap it; later passes run serially."""
+        import signal
+
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        for pipe in (self.requests, self.replies):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+        try:
+            # Killed only while unreaped, so that its pid is not reused.
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+
+
+def _serve(requests: int, replies: int, floats: np.ndarray) -> None:
+    """The worker's loop, in the forked child: it computes the blocks of
+    each request until its request pipe ends, which it also does when
+    the caller dies.  It holds no descriptor of the caller's but its two
+    pipes (stdin, stdout and stderr become os.devnull), ignores SIGINT,
+    which the terminal sends to the caller's whole group, and turns
+    each floating-point error the caller would see into a failed block.
+    """
+    import gc
+    import signal
+
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in (0, 1, 2):
+        os.dup2(null, fd)
+    low, high = sorted((requests, replies))
+    os.closerange(3, low)
+    os.closerange(low + 1, high)
+    os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The caller's objects are never collected here; a collection would
+    # copy every page that holds one.
+    gc.freeze()
+    with os.fdopen(requests, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
+        while True:
+            try:
+                kernel, kc, err, (b, n), spans = pickle.load(inbox)
+            except EOFError:
+                return
+            qc, pc = floats[: 4 * b * n].reshape(2, b, n, 2)
+            at = 4 * b * n
+            try:
+                with np.errstate(**err):
+                    for s, e, dist in _blocks(qc, spans=spans):
+                        dq, dp = floats[at : at + 4 * b * (n - s)].reshape(2, b, n - s, 2)
+                        at += dq.size + dp.size
+                        pickle.dump(_block_terms(kernel, qc, pc, kc, s, e, dist, dq, dp, False), outbox)
+                        outbox.flush()
+            except Exception:
+                pickle.dump(None, outbox)
+                outbox.flush()
+
+
+# The split worker: None until a pass first splits, False where none can
+# run (one usable CPU, no fork, or a failed start) and in forked children.
+_worker = None
+
+
+def _worker_for(spans: tuple, n: int, members: int) -> tuple:
+    """(worker, k) for a pass of ``spans`` over n columns in chunks of
+    ``members``: the worker, started on the first pass that splits, takes
+    blocks k:.  (None, 0) where the pass stays serial."""
+    global _worker
+    if len(spans) < 2:
+        return None, 0
+    k, floats = _split_at(spans, n, _SPLIT_SHARE)
+    if not k or members * (4 * n + floats) > _Worker.FLOATS:
+        return None, 0
+    if _worker is None:
+        _worker = False
+        try:
+            if len(os.sched_getaffinity(0)) > 1:
+                _worker = _Worker()
+        except (AttributeError, OSError):  # no sched_getaffinity or fork
+            pass
+    return (_worker, k) if _worker and _worker.pid is not None else (None, 0)
+
+
+def _stop_worker() -> None:
+    """Stop the split worker, if one runs; the next pass that splits
+    starts another."""
+    global _worker
+    if _worker:
+        _worker.close()
+    _worker = None
+
+
+def _forget_worker() -> None:
+    """In a forked child: drop the caller's pipes, and never split."""
+    global _worker
+    if _worker:
+        for pipe in (_worker.requests, _worker.replies):
+            pipe.close()
+    _worker = False
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def rhs(spec: SystemSpec, state: ParticleState) -> tuple[np.ndarray, np.ndarray]:

@@ -293,7 +293,8 @@ def _drive(problems: list, direction=None) -> list:
     h * |r| for an inexact one (sigma2 > 0); the latter is the
     iterate's move only under the feedback update.  Unequal landmark
     counts raise ConfigurationError for the first such problem before
-    anything runs.
+    anything runs, and so do problems that differ in N, the evolution
+    config, or the kernel's family, nu or normalization.
 
     Each round updates every live cell and shoots them all at once
     through one :func:`~geoshoot.integrator._evolve_stack` call, so the
@@ -315,6 +316,17 @@ def _drive(problems: list, direction=None) -> list:
                 f"templates must have equal landmark counts: "
                 f"{reference.n} (reference) vs {target.n} (target)"
             )
+    # _shoot takes the grid and the kernel family of its first cell.
+    shared = {
+        (ref.n, cfg.evolve, cfg.system.kernel.family, cfg.system.kernel.nu,
+         cfg.system.kernel.normalized)
+        for ref, _, cfg in problems
+    }
+    if len(shared) > 1:
+        raise ConfigurationError(
+            "problems shot in lockstep must share N, the evolution config "
+            "and the kernel's family, nu and normalization"
+        )
     results = [None] * len(problems)
 
     def finish(cell: _Cell, converged: bool, diagnosis: str | None = None) -> None:

@@ -37,7 +37,7 @@ from geoshoot import (
     rhs,
     velocity_field,
 )
-from geoshoot import kernels
+from geoshoot import kernels, particles
 
 # Frozen from 50-digit mpmath evaluations of
 # C r^(nu-1) K_(nu-1)(r/alpha), C = 2^(1-nu) / (2 pi alpha^(1+nu) Gamma(nu)),
@@ -465,9 +465,11 @@ def test_rhs_and_gram_bits_do_not_depend_on_the_product_threshold(n):
             velocity_field(spec, state, x), str(err.value),
         )
 
-    product = run()
-    with mock.patch.object(kernels, "_PRODUCT_ENTRIES", n * n + 1):
-        broadcast = run()
+    # A split worker keeps the threshold it was started with.
+    with mock.patch.object(particles, "_SPLIT_SHARE", math.inf):
+        product = run()
+        with mock.patch.object(kernels, "_PRODUCT_ENTRIES", n * n + 1):
+            broadcast = run()
     for a, b in zip(product, broadcast):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 

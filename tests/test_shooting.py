@@ -434,6 +434,34 @@ def test_mismatched_landmark_counts_rejected():
         match(circle(1.0, n=8), circle(2.0, n=16), quick_cfg())
 
 
+_BESSEL = SystemSpec(KernelSpec(family="bessel", nu=2.5))
+
+
+@pytest.mark.parametrize(
+    "first, other",
+    [
+        (quick_cfg(), quick_cfg(evolve=EvolveConfig(steps=30))),
+        (quick_cfg(), quick_cfg(evolve=EvolveConfig(t_final=0.5, steps=60))),
+        (quick_cfg(), quick_cfg(system=SystemSpec(KernelSpec(family="gaussian")))),
+        (quick_cfg(system=_BESSEL), quick_cfg(system=SystemSpec(KernelSpec(family="bessel", nu=3.5)))),
+        (quick_cfg(), quick_cfg(system=SystemSpec(KernelSpec(normalized=False)))),
+        (quick_cfg(), None),
+    ],
+    ids=["steps", "t-final", "family", "nu", "normalization", "landmark-count"],
+)
+def test_driver_rejects_problems_that_cannot_share_a_stack(first, other, shoots):
+    """The driver shoots every problem on the first one's grid and
+    kernel family, so problems that differ in N, the evolution config or
+    the kernel's family, nu or normalization raise before any shoot;
+    width, h and sigma2 may differ."""
+    second = (REF, TGT, other) if other else (circle(1.0, n=16), circle(1.2, n=16), first)
+    with pytest.raises(ConfigurationError, match="lockstep"):
+        shooting._drive([(REF, TGT, first), second])
+    assert shoots[0] == 0
+    mixed = quick_cfg(h=0.3, system=SystemSpec(KernelSpec(alpha=0.7), sigma2=0.2))
+    assert all(r.converged for r in shooting._drive([(REF, TGT, quick_cfg()), (REF, TGT, mixed)]))
+
+
 def test_near_singular_gram_matrix_warns():
     # A very flat Gaussian makes the Gram matrix numerically rank one.
     kernel = KernelSpec(family=KernelFamily.GAUSSIAN, alpha=20.0)

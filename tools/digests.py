@@ -13,11 +13,14 @@ checkout, or of TREE.  Each run is a fresh interpreter with
   of radii from 0 and the subnormals to 1.7e308;
 * a stacked ``_rhs`` (each stack's members differing in alpha and
   sigma2), ``gram_matrix``, ``velocity_field`` and
-  ``momenta_from_velocity`` at N in {6, 16, 64, 200, 1024};
+  ``momenta_from_velocity`` at N in {6, 16, 64, 200, 640, 1024}, where
+  the ``_rhs`` passes of 640 (13 upper blocks) and 1024 (32) are split
+  between the caller and a worker process on a host with two CPUs;
 * the public ``pairwise_distances`` over passes of several blocks;
 * the coincidence errors of ``gram_matrix``, ``LandmarkTemplate`` and
-  ``rhs`` at N in {6, 16, 64, 200, 1024}, each naming the first of two
-  planted pairs, which spans two row blocks where N has more than one;
+  ``rhs`` at those N, each naming the first of two planted pairs, which
+  spans two row blocks where N has more than one, and which lies in a
+  worker's block at N = 640;
 * every ``MatchResult`` field of the six matches of the benchmark's
   panel (circle onto each target at N = 64, 10 RK4 steps) and of a
   Newton match, and the iteration counts of a 2 x 2
@@ -47,7 +50,7 @@ import numpy as np
 # geoshoot is imported inside the functions that use it: only the worker
 # runs them, with the package of the tree under test on its path.
 ROOT = Path(__file__).resolve().parents[1]
-SIZES = (6, 16, 64, 200, 1024)
+SIZES = (6, 16, 64, 200, 640, 1024)
 WIDTHS = (2.0**-4, 0.5, 1.0, 2.0, 16.0, 0.7, math.sqrt(0.4))
 RADII = np.concatenate(([0.0, 5e-324, 1e-320], np.geomspace(1e-8, 30.0, 4000), [1e308, 1.7e308]))
 

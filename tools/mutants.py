@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 KERNELS, PARTICLES = "src/geoshoot/kernels.py", "src/geoshoot/particles.py"
 TEST_KERNELS, TEST_PARTICLES = "tests/test_kernels.py", "tests/test_particles.py"
+TEST_SPLIT = "tests/test_split.py"
 
 MUTANTS = (
     Mutant(
@@ -89,9 +90,52 @@ MUTANTS = (
     ),
     Mutant(
         "rhs-dp-sign-flipped", PARTICLES,
-        "np.subtract(a @ qs, row_sums * qe, out=dpc[:, s:e])",
-        "np.subtract(row_sums * qe, a @ qs, out=dpc[:, s:e])",
+        "np.subtract(a @ qs, row_sums * qe, out=rp)",
+        "np.subtract(row_sums * qe, a @ qs, out=rp)",
         (TEST_PARTICLES,),
+    ),
+    Mutant(
+        "worker-blocks-added-out-of-block-order", PARTICLES,
+        """            for s, _ in spans[cut:]:
+                pairs = pickle.load(self.replies)
+                if pairs is None:
+                    return None
+                tq, tp = self.floats[at : at + 4 * b * (n - s)].reshape(2, b, n - s, 2)
+                at += tq.size + tp.size
+                dqc[:, s:] += tq
+                dpc[:, s:] += tp
+                found += pairs
+""",
+        """            terms = []
+            for s, _ in spans[cut:]:
+                pairs = pickle.load(self.replies)
+                if pairs is None:
+                    return None
+                tq, tp = self.floats[at : at + 4 * b * (n - s)].reshape(2, b, n - s, 2)
+                at += tq.size + tp.size
+                terms.append((s, tq, tp))
+                found += pairs
+            for s, tq, tp in reversed(terms):
+                dqc[:, s:] += tq
+                dpc[:, s:] += tp
+""",
+        (TEST_SPLIT,),
+    ),
+    Mutant(
+        "worker-blocks-drop-their-transposed-part", PARTICLES,
+        """                dqc[:, s:] += tq
+                dpc[:, s:] += tp
+""",
+        """                w = next(e for start, e in spans if start == s) - s
+                dqc[:, s : s + w] += tq[:, :w]
+                dpc[:, s : s + w] += tp[:, :w]
+""",
+        (TEST_SPLIT,),
+    ),
+    Mutant(
+        "worker-clash-names-a-local-row", PARTICLES,
+        "found += pairs", "found += [(m, i - s, j) for m, i, j in pairs]",
+        (TEST_SPLIT,),
     ),
     Mutant(
         "evolve-stack-merges-clashes-last-stage-first", "src/geoshoot/integrator.py",
@@ -99,10 +143,9 @@ MUTANTS = (
         ("tests/test_integrator.py",),
     ),
     Mutant(
-        "shoot-takes-the-grid-of-the-last-cell", "src/geoshoot/shooting.py",
-        "grid = replace(cells[0].cfg.evolve, capture_every=0)",
-        "grid = replace(cells[-1].cfg.evolve, capture_every=0)",
-        ("tests/test_shooting.py", "tests/test_analysis.py"),
+        "drive-shoots-mixed-problems", "src/geoshoot/shooting.py",
+        "if len(shared) > 1:", "if False:",
+        ("tests/test_shooting.py",),
     ),
     Mutant(
         "stopping-norm-without-h", "src/geoshoot/shooting.py",
