@@ -31,7 +31,10 @@ distances of each row span of the block plan in turn, so no full
 against themselves in upper blocks, rows s:e against columns s:N: K
 and A are symmetric, so each block's strictly upper part, transposed,
 also gives rows e:N their terms from rows s:e, and every pair's
-distance and kernel terms are computed once.
+distance and kernel terms are computed once.  A large pass is split
+between the caller and one forked worker process, each computing its
+own blocks with :func:`_block_terms`; the caller adds the worker's
+blocks in block order, so the result is the serial loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -181,6 +184,19 @@ def _block_terms(kernel, qc, pc, kc, s, e, dist, dq, dp, add):
     return found
 
 
+def _serial_pass(kernel, qc, pc, kc, spans, dqc, dpc) -> list:
+    """The coincident pairs of the blocks ``spans`` of a chunk's pass, run
+    in turn into the chunk's (dq, dp): the first block of the pass writes
+    its rows and each later one adds to them."""
+    found = []
+    for s, e, dist in _blocks(qc, spans=spans):
+        if s:
+            found += _block_terms(kernel, qc, pc, kc, s, e, dist, dqc[:, s:], dpc[:, s:], True)
+        else:
+            found += _block_terms(kernel, qc, pc, kc, s, e, dist, dqc, dpc, False)
+    return found
+
+
 def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     """(d, clashes) on a raw (2, B, N, 2) state, with no input validation.
 
@@ -211,6 +227,13 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     one-block system (N <= 181) rounds exactly as a plain N x N build.  A
     member with sigma2 = 0 gets no sigma2 p term at all, so it rounds as
     alone.
+
+    A pass whose blocks split into two halves of similar size
+    (:func:`_split_at`) is shared with a worker process, where the host
+    gives this one more than one CPU: the worker computes the last
+    blocks while the caller computes the first, and the caller adds
+    every block in block order (:class:`_Worker`), so the bits and the
+    clashes are those of the serial loop.
     """
     q, p = y
     k, sigma2 = k[:-1], k[-1]
@@ -219,7 +242,7 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     dq, dp = d
     clashes = {}
     spans, chunk = _plan(n, n)
-    worker, cut = _worker_for(spans, n, min(chunk, len(q)))
+    worker, cut = _worker_for(spans, n, min(chunk, len(q))) if len(spans) > 1 else (None, 0)
     for c in range(0, len(q), chunk):
         if chunk >= len(q):
             qc, pc, dqc, dpc, kc = q, p, dq, dp, k
@@ -229,10 +252,7 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
             kc = tuple(v if np.ndim(v) == 0 else v[members] for v in k)
         found = None if worker is None else worker.split(kernel, qc, pc, kc, spans, cut, dqc, dpc)
         if found is None:
-            found = []
-            for s, e, dist in _blocks(qc, spans=spans):
-                rows = (dqc, dpc) if s == 0 else (dqc[:, s:], dpc[:, s:])
-                found += _block_terms(kernel, qc, pc, kc, s, e, dist, *rows, s != 0)
+            found = _serial_pass(kernel, qc, pc, kc, spans, dqc, dpc)
         for b, i, j in found:
             clashes.setdefault(c + b, DegenerateConfigurationError(
                 f"particles {i} and {j} coincide with interacting "
@@ -259,22 +279,21 @@ _SPLIT_SHARE = 0.5
 
 @functools.lru_cache(maxsize=64)
 def _split_at(spans: tuple, n: int, share: float) -> tuple:
-    """(k, floats) for a pass of ``spans`` over n columns: the caller keeps
-    blocks :k and the worker takes blocks k:, with k where the two
-    halves' entries come closest, and writes ``floats`` per member, rows
-    s:N of dq and dp for each of its blocks.  (0, 0) where the pass
-    stays serial: one block, or halves whose entries differ by more
-    than ``share``."""
+    """(cut, floats) for a pass of ``spans`` over n columns: the caller
+    keeps blocks :cut and the worker takes blocks cut:, with cut where
+    the larger half holds the fewest entries, and the worker writes
+    ``floats`` per member, rows s:N of dq and dp for each of its blocks.
+    (0, 0) where the pass stays serial: one block, or a smaller half
+    with less than ``share`` of the larger one's entries."""
     entries = [(e - s) * (n - s) for s, e in spans]
-    total, head, best = sum(entries), 0, None
-    for k in range(1, len(spans)):
-        head += entries[k - 1]
-        if best is None or max(head, total - head) < max(best[1], total - best[1]):
-            best = (k, head)
-    if best is None or min(best[1], total - best[1]) < share * max(best[1], total - best[1]):
+    total, head, halves = sum(entries), 0, []
+    for cut in range(1, len(spans)):
+        head += entries[cut - 1]
+        halves.append((max(head, total - head), cut, min(head, total - head)))
+    larger, cut, smaller = min(halves, default=(0, 0, 0))
+    if not cut or smaller < share * larger:
         return 0, 0
-    k = best[0]
-    return k, sum(4 * (n - s) for s, _ in spans[k:])
+    return cut, sum(4 * (n - s) for s, _ in spans[cut:])
 
 
 class _Worker:
@@ -319,12 +338,14 @@ class _Worker:
         self.requests, self.replies = os.fdopen(requests[1], "wb"), os.fdopen(replies[0], "rb")
 
     def split(self, kernel, qc, pc, kc, spans, cut, dqc, dpc):
-        """The coincident pairs of one chunk's pass, run as the serial loop
-        of :func:`_rhs` with blocks ``cut``: taken from the worker, or None
-        where this call cannot use the worker: another thread holds it,
-        it died, or a block failed in either process.  Then the caller
-        recomputes the chunk serially, which raises whatever it must; an
-        error on this side, or the worker's loss, stops the worker.
+        """The coincident pairs of one chunk's pass over ``spans``, written
+        into (dqc, dpc) as the serial loop writes them, the worker
+        computing blocks cut: while this process computes blocks :cut.
+        None where this call cannot use the worker: another thread holds
+        it, it died, or a block failed in either process.  Then the
+        caller recomputes the chunk serially, which raises whatever it
+        must; an error on this side, or the worker's loss, also stops the
+        worker.
         """
         if not self.lock.acquire(blocking=False):
             return None
@@ -335,10 +356,7 @@ class _Worker:
             err = {kind: "raise" if act != "ignore" else act for kind, act in np.geterr().items()}
             self.requests.write(pickle.dumps((kernel, kc, err, (b, n), spans[cut:])))
             self.requests.flush()
-            found, at = [], y.size
-            for s, e, dist in _blocks(qc, spans=spans[:cut]):
-                rows = (dqc, dpc) if s == 0 else (dqc[:, s:], dpc[:, s:])
-                found += _block_terms(kernel, qc, pc, kc, s, e, dist, *rows, s != 0)
+            found, at = _serial_pass(kernel, qc, pc, kc, spans[:cut], dqc, dpc), y.size
             for s, _ in spans[cut:]:
                 pairs = pickle.load(self.replies)
                 if pairs is None:
@@ -426,14 +444,12 @@ _worker = None
 
 
 def _worker_for(spans: tuple, n: int, members: int) -> tuple:
-    """(worker, k) for a pass of ``spans`` over n columns in chunks of
+    """(worker, cut) for a pass of ``spans`` over n columns in chunks of
     ``members``: the worker, started on the first pass that splits, takes
-    blocks k:.  (None, 0) where the pass stays serial."""
+    blocks cut:.  (None, 0) where the pass stays serial."""
     global _worker
-    if len(spans) < 2:
-        return None, 0
-    k, floats = _split_at(spans, n, _SPLIT_SHARE)
-    if not k or members * (4 * n + floats) > _Worker.FLOATS:
+    cut, floats = _split_at(spans, n, _SPLIT_SHARE)
+    if not cut or members * (4 * n + floats) > _Worker.FLOATS:
         return None, 0
     if _worker is None:
         _worker = False
@@ -442,7 +458,7 @@ def _worker_for(spans: tuple, n: int, members: int) -> tuple:
                 _worker = _Worker()
         except (AttributeError, OSError):  # no sched_getaffinity or fork
             pass
-    return (_worker, k) if _worker and _worker.pid is not None else (None, 0)
+    return (_worker, cut) if _worker and _worker.pid is not None else (None, 0)
 
 
 def _stop_worker() -> None:
