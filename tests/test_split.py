@@ -3,6 +3,8 @@ to share, a forked worker computes the last ones while the caller
 computes the first, and the caller adds every block in block order.
 Every bit, and every coincidence error, is the serial loop's."""
 
+import contextlib
+import io
 import math
 import os
 import re
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from geoshoot import EvolveConfig, KernelFamily, KernelSpec, ParticleState, SystemSpec, evolve
-from geoshoot import heart4, integrator, kernels, particles
+from geoshoot import cli, heart4, integrator, kernels, particles
 
 SRC = str(Path(particles.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
@@ -156,7 +158,8 @@ def test_worker_holds_only_its_pipes_and_exits_at_their_end(split):
     spec, state = _transport(300)
     particles.rhs(spec, state)
     worker = particles._worker
-    fds = {int(fd): os.readlink(f"/proc/{worker.pid}/fd/{fd}") for fd in os.listdir(f"/proc/{worker.pid}/fd")}
+    fd_dir = f"/proc/{worker.pid}/fd"
+    fds = {int(fd): os.readlink(f"{fd_dir}/{fd}") for fd in os.listdir(fd_dir)}
     assert [fds.pop(fd) for fd in (0, 1, 2)] == [os.devnull] * 3
     assert len(fds) == 2 and all(target.startswith("pipe:") for target in fds.values())
     worker.requests.close()
@@ -179,14 +182,10 @@ def test_a_cli_match_leaves_no_process_in_its_group(tmp_path):
         "os.fork = spied\n"
     )
     env = {**ENV, "PYTHONPATH": os.pathsep.join([str(tmp_path), ENV["PYTHONPATH"]])}
-    paths = []
-    for shape in ("circle", "heart4"):
-        paths.append(str(tmp_path / f"{shape}.json"))
-        done = subprocess.run(
-            [sys.executable, "-m", "geoshoot.cli", "shapes", shape, "--n", "300", "--out", paths[-1]],
-            env=env, capture_output=True, timeout=120,
-        )
-        assert done.returncode == 0
+    paths = [str(tmp_path / f"{shape}.json") for shape in ("circle", "heart4")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for shape, path in zip(("circle", "heart4"), paths):
+            assert cli.main(["shapes", shape, "--n", "300", "--out", path]) == 0
     argv = ["match", *paths, "--steps", "4", "--max-iter", "2", "--out", str(tmp_path / "run")]
     proc = subprocess.Popen(
         [sys.executable, "-m", "geoshoot.cli", *argv], env=env, start_new_session=True,
