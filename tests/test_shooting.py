@@ -449,8 +449,8 @@ _BESSEL = SystemSpec(KernelSpec(family="bessel", nu=2.5))
     ],
     ids=["steps", "t-final", "family", "nu", "normalization", "landmark-count"],
 )
-def test_driver_rejects_problems_that_cannot_share_a_stack(first, other, shoots):
-    """The driver shoots every problem on the first one's grid and
+def test_drive_rejects_problems_that_cannot_share_a_stack(first, other, shoots):
+    """`_drive` shoots every problem on the first one's grid and
     kernel family, so problems that differ in N, the evolution config or
     the kernel's family, nu or normalization raise before any shoot;
     width, h and sigma2 may differ."""
