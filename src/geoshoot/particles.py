@@ -31,10 +31,12 @@ distances of each row span of the block plan in turn, so no full
 against themselves in upper blocks, rows s:e against columns s:N: K
 and A are symmetric, so each block's strictly upper part, transposed,
 also gives rows e:N their terms from rows s:e, and every pair's
-distance and kernel terms are computed once.  A large pass is split
-between the caller and one forked worker process, each computing its
-own blocks with :func:`_block_terms`; the caller adds the worker's
-blocks in block order, so the result is the serial loop's, bit for bit.
+distance and kernel terms are computed once.  The block step
+:func:`_block_terms` only writes a block's rows, and the loops that
+call it add every block after the first in block order.  A large pass,
+always of one member, is split between the caller and one forked
+worker process, each computing its own blocks, so the result is the
+serial loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -125,12 +127,11 @@ def _constants(systems) -> tuple:
     )
 
 
-def _block_terms(kernel, qc, pc, kc, s, e, dist, dq, dp, add):
+def _block_terms(kernel, qc, pc, kc, s, e, dist, dq, dp):
     """The terms of the upper block (s, e) of a chunk's self pass, written
-    (``add`` false) or added to ``dq`` and ``dp``, which hold rows s:N of
-    the chunk's (dq, dp): rows s:e their terms from columns s:N, and rows
-    e:N, from the block's strictly upper part transposed, their terms
-    from columns s:e.  ``dist`` is the block from
+    into ``dq`` and ``dp``, N - s rows each: rows s:e their terms from
+    columns s:N, and rows e:N, from the block's strictly upper part
+    transposed, their terms from columns s:e.  ``dist`` is the block from
     :func:`~geoshoot.kernels._blocks`; it is worked on in place.  Returns
     the interacting coincident pairs as (member, i, j) with global
     particle indices, in the order of ``np.argwhere``.  The one block
@@ -162,38 +163,37 @@ def _block_terms(kernel, qc, pc, kc, s, e, dist, dq, dp, add):
     # A @ q - (A 1) q_i is the negated (A 1) q_i - A @ q, bit for bit.
     row_sums = np.add.reduce(a, axis=2, keepdims=True)
     rq, rp = (dq, dp) if e == n else (dq[:, : e - s], dp[:, : e - s])
-    if add:
-        rq += kmat @ ps
-        rp += a @ qs - row_sums * qe
-    else:
-        np.matmul(kmat, ps, out=rq)
-        np.subtract(a @ qs, row_sums * qe, out=rp)
+    np.matmul(kmat, ps, out=rq)
+    np.subtract(a @ qs, row_sums * qe, out=rp)
     if e == n:
         return found
     # Rows e:N, from the block's strictly upper part transposed.
     kt = kmat[:, :, e - s :].transpose(0, 2, 1)
     at = a[:, :, e - s :].transpose(0, 2, 1)
     col_sums = np.add.reduce(at, axis=2, keepdims=True)
-    tq, tp = dq[:, e - s :], dp[:, e - s :]
-    if add:
-        tq += kt @ pe
-        tp += at @ qe - col_sums * qc[:, e:]
-    else:
-        np.matmul(kt, pe, out=tq)
-        np.subtract(at @ qe, col_sums * qc[:, e:], out=tp)
+    np.matmul(kt, pe, out=dq[:, e - s :])
+    np.subtract(at @ qe, col_sums * qc[:, e:], out=dp[:, e - s :])
     return found
 
 
 def _serial_pass(kernel, qc, pc, kc, spans, dqc, dpc) -> list:
-    """The coincident pairs of the blocks ``spans`` of a chunk's pass, run
-    in turn into the chunk's (dq, dp): the first block of the pass writes
-    its rows and each later one adds to them."""
+    """The coincident pairs of the blocks ``spans`` of a chunk's pass, from
+    its first block on, run in turn into the chunk's (dq, dp).  The first
+    block writes its rows there, which keeps a -0 and takes no copy;
+    each later one writes its rows s:N into one buffer, made once per
+    pass, and they are added to the chunk's in block order."""
+    b, n = qc.shape[:2]
+    # The first later block has the most rows s:N.
+    rows = np.empty(4 * b * (n - spans[1][0])) if len(spans) > 1 else None
     found = []
     for s, e, dist in _blocks(qc, spans=spans):
-        if s:
-            found += _block_terms(kernel, qc, pc, kc, s, e, dist, dqc[:, s:], dpc[:, s:], True)
-        else:
-            found += _block_terms(kernel, qc, pc, kc, s, e, dist, dqc, dpc, False)
+        if not s:
+            found += _block_terms(kernel, qc, pc, kc, s, e, dist, dqc, dpc)
+            continue
+        tq, tp = rows[: 4 * b * (n - s)].reshape(2, b, n - s, 2)
+        found += _block_terms(kernel, qc, pc, kc, s, e, dist, tq, tp)
+        dqc[:, s:] += tq
+        dpc[:, s:] += tp
     return found
 
 
@@ -242,7 +242,7 @@ def _rhs(kernel: KernelSpec, y: np.ndarray, k: tuple):
     dq, dp = d
     clashes = {}
     spans, chunk = _plan(n, n)
-    worker, cut = _worker_for(spans, n, min(chunk, len(q))) if len(spans) > 1 else (None, 0)
+    worker, cut = _worker_for(spans, n) if len(spans) > 1 else (None, 0)
     for c in range(0, len(q), chunk):
         if chunk >= len(q):
             qc, pc, dqc, dpc, kc = q, p, dq, dp, k
@@ -282,7 +282,7 @@ def _split_at(spans: tuple, n: int, share: float) -> tuple:
     """(cut, floats) for a pass of ``spans`` over n columns: the caller
     keeps blocks :cut and the worker takes blocks cut:, with cut where
     the larger half holds the fewest entries, and the worker writes
-    ``floats`` per member, rows s:N of dq and dp for each of its blocks.
+    ``floats`` per pass, rows s:N of dq and dp for each of its blocks.
     (0, 0) where the pass stays serial: one block, or a smaller half
     with less than ``share`` of the larger one's entries."""
     entries = [(e - s) * (n - s) for s, e in spans]
@@ -431,7 +431,7 @@ def _serve(requests: int, replies: int, floats: np.ndarray) -> None:
                     for s, e, dist in _blocks(qc, spans=spans):
                         dq, dp = floats[at : at + 4 * b * (n - s)].reshape(2, b, n - s, 2)
                         at += dq.size + dp.size
-                        pickle.dump(_block_terms(kernel, qc, pc, kc, s, e, dist, dq, dp, False), outbox)
+                        pickle.dump(_block_terms(kernel, qc, pc, kc, s, e, dist, dq, dp), outbox)
                         outbox.flush()
             except Exception:
                 pickle.dump(None, outbox)
@@ -443,13 +443,13 @@ def _serve(requests: int, replies: int, floats: np.ndarray) -> None:
 _worker = None
 
 
-def _worker_for(spans: tuple, n: int, members: int) -> tuple:
-    """(worker, cut) for a pass of ``spans`` over n columns in chunks of
-    ``members``: the worker, started on the first pass that splits, takes
-    blocks cut:.  (None, 0) where the pass stays serial."""
+def _worker_for(spans: tuple, n: int) -> tuple:
+    """(worker, cut) for a one-member pass of ``spans`` over n columns:
+    the worker, started on the first pass that splits, takes blocks
+    cut:.  (None, 0) where the pass stays serial."""
     global _worker
     cut, floats = _split_at(spans, n, _SPLIT_SHARE)
-    if not cut or members * (4 * n + floats) > _Worker.FLOATS:
+    if not cut or 4 * n + floats > _Worker.FLOATS:
         return None, 0
     if _worker is None:
         _worker = False

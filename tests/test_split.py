@@ -60,10 +60,12 @@ def _bits(*arrays) -> list:
 @pytest.mark.parametrize("family", list(KernelFamily))
 def test_split_rhs_equals_the_serial_loop(n, blocks, cut, family, split, monkeypatch):
     """Stacks of two members, of equal and of mixed widths, sigma2 0 and
-    0.3.  Member 0 has two interacting coincident pairs in two worker
-    blocks, member 1 an inert one (zero momentum product) in the first:
-    the clash names member 0's first pair, as the serial loop does, and
-    every bit of (dq, dp) is the serial loop's."""
+    0.3.  Both members have two interacting coincident pairs in two
+    worker blocks, and one more pair in the caller's first block, which
+    is interacting in member 0 and inert (zero momentum product) in
+    member 1: member 0's clash names its caller pair and member 1's its
+    first worker pair, as the serial loop does, and every bit of
+    (dq, dp) is the serial loop's."""
     spans = kernels._plan(n, n)[0]
     assert len(spans) == blocks
     assert particles._split_at(spans, n, particles._SPLIT_SHARE)[0] == cut
@@ -71,10 +73,13 @@ def test_split_rhs_equals_the_serial_loop(n, blocks, cut, family, split, monkeyp
     rng = np.random.default_rng(n)
     q = heart4(n).points + 0.001 * rng.normal(size=(2, n, 2))
     p = rng.normal(size=(2, n, 2))
-    q[0, n - 3], q[0, n - 1] = q[0, first + 5], q[0, last + 1]
-    q[1, n - 5] = q[1, first + 7]
-    p[1, first + 7, 1] = p[1, n - 5, 0] = 0.0  # (x, 0) . (0, y) is exactly 0
-    message = f"particles {first + 5} and {n - 3} coincide with interacting momenta"
+    q[:, n - 7] = q[:, 3]
+    q[:, n - 3], q[:, n - 1] = q[:, first + 5], q[:, last + 1]
+    p[1, 3, 1] = p[1, n - 7, 0] = 0.0  # (x, 0) . (0, y) is exactly 0
+    messages = {
+        0: f"particles 3 and {n - 7} coincide with interacting momenta",
+        1: f"particles {first + 5} and {n - 3} coincide with interacting momenta",
+    }
     for widths in ((1.0, 1.0), (1.0, math.sqrt(0.4))):
         specs = [KernelSpec(family=family, nu=2.5, alpha=a) for a in widths]
         for sigma2 in (0.0, 0.3):
@@ -89,9 +94,22 @@ def test_split_rhs_equals_the_serial_loop(n, blocks, cut, family, split, monkeyp
 
             got, want = run(), _serial(monkeypatch, run)
             assert got == want, (widths, sigma2)
-            assert list(got[1]) == [0] and got[1][0].startswith(message)
+            assert list(got[1]) == [0, 1], got[1]
+            assert all(got[1][b].startswith(messages[b]) for b in (0, 1)), got[1]
     assert len(split) == 2 * 2 * 2 and all(found is not None for found in split)
     assert particles._worker.pid is not None
+
+
+def test_plans_of_several_blocks_hold_one_member_per_chunk():
+    """The worker's mapping holds one member per pass, because a plan of
+    more blocks than one gives each block budget // N rows, which leaves
+    no room for a second member in a chunk: checked at every N to 2999
+    and at larger N, under budgets from 1 to 2^17."""
+    sizes = [*range(1, 3000), 4096, 6464, 6465, 10000, 20000, 40000]
+    for budget in (1, 2, 3, 7, 64, 2**11, 2**13, 2**15, 2**16, 2**17):
+        for n in sizes:
+            spans, chunk = kernels._cached_plan.__wrapped__(n, n, budget)
+            assert len(spans) == 1 or chunk == 1, (budget, n, chunk)
 
 
 def test_rhs_below_the_split_share_stays_serial(split):
@@ -169,8 +187,10 @@ def test_worker_holds_only_its_pipes_and_exits_at_their_end(split):
 
 def test_a_cli_match_leaves_no_process_in_its_group(tmp_path):
     """``python -m geoshoot.cli match`` at N = 300, in a session of its
-    own: its worker starts (a spy on os.fork names it on stderr), and
-    once the run has exited nothing is left in its process group."""
+    own and under ``-W error``: its worker starts (a spy on os.fork names
+    it on stderr), no warning is raised, so fork's warning about
+    threads stays silenced, and once the run has exited nothing is left
+    in its process group."""
     (tmp_path / "sitecustomize.py").write_text(
         "import os, sys\n"
         "fork = os.fork\n"
@@ -188,12 +208,12 @@ def test_a_cli_match_leaves_no_process_in_its_group(tmp_path):
             assert cli.main(["shapes", shape, "--n", "300", "--out", path]) == 0
     argv = ["match", *paths, "--steps", "4", "--max-iter", "2", "--out", str(tmp_path / "run")]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "geoshoot.cli", *argv], env=env, start_new_session=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        [sys.executable, "-W", "error", "-m", "geoshoot.cli", *argv], env=env,
+        start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 1 and "iteration cap reached" in out, out + err
-    assert len(re.findall(r"^forked \d+$", err, re.M)) == 1, err
+    assert re.fullmatch(rf"forked \d+\ndetails in {re.escape(argv[-1])}/result.json\n", err), err
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 

@@ -24,7 +24,11 @@ checkout, or of TREE.  Each run is a fresh interpreter with
 * every ``MatchResult`` field of the six matches of the benchmark's
   panel (circle onto each target at N = 64, 10 RK4 steps) and of a
   Newton match, and the iteration counts of a 2 x 2
-  ``convergence_sweep``.
+  ``convergence_sweep``;
+* every file that three runs of ``cli.main`` write, from a temporary
+  working directory with relative paths: a ``match`` at N = 64 with 10
+  RK4 steps and ``--capture-every 2``, a 2 x 2 ``sweep`` at N = 16 and a
+  ``distance``, each manifest without its ``wall_time_s``.
 
 With ``--against`` it prints how many digests are equal and the names
 whose digests differ or exist on one side only, and exits 1 if any do.
@@ -35,6 +39,7 @@ builds, so compare two trees on one host; no golden file is kept.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -42,6 +47,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -212,6 +218,38 @@ def _matches(out: dict) -> None:
     out["sweep/n16"] = _digest(convergence_sweep(circle(2.0, n=16), heart4(16), grid))
 
 
+def _cli_files(out: dict) -> None:
+    from geoshoot import cli
+
+    runs = (
+        ["shapes", "circle", "--n", "64", "--out", "circle.json"],
+        ["shapes", "heart4", "--n", "64", "--out", "heart4.json"],
+        ["match", "circle.json", "heart4.json", "--h", "0.4", "--steps", "10",
+         "--capture-every", "2", "--out", "match"],
+        ["sweep", "--n", "16", "--alpha2", "0.4", "1.0", "--h-values", "0.6", "0.8",
+         "--out", "sweep"],
+        ["distance", "circle.json", "heart4.json", "--steps", "10", "--out", "distance"],
+    )
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(sys.stderr):
+                codes = [cli.main(argv) for argv in runs]
+            for path in sorted(Path(".").rglob("*")):
+                if path.parent == Path(".") or not path.is_file():
+                    continue  # the input templates
+                data = path.read_bytes()
+                if path.name == "manifest.json":
+                    doc = json.loads(data)
+                    del doc["wall_time_s"]
+                    data = json.dumps(doc, sort_keys=True).encode()
+                out[f"cli/{path.as_posix()}"] = _digest(np.frombuffer(data, dtype=np.uint8))
+        finally:
+            os.chdir(cwd)
+    out["cli/exit-codes"] = _digest(np.array(codes))
+
+
 def digests() -> dict:
     out = {}
     _kernels(out)
@@ -219,6 +257,7 @@ def digests() -> dict:
     _distances(out)
     _coincidences(out)
     _matches(out)
+    _cli_files(out)
     return out
 
 

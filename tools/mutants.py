@@ -138,6 +138,45 @@ MUTANTS = (
         (TEST_SPLIT,),
     ),
     Mutant(
+        "caller-clashes-merged-after-the-worker", PARTICLES,
+        """            found, at = _serial_pass(kernel, qc, pc, kc, spans[:cut], dqc, dpc), y.size
+            for s, _ in spans[cut:]:
+                pairs = pickle.load(self.replies)
+                if pairs is None:
+                    return None
+                tq, tp = self.floats[at : at + 4 * b * (n - s)].reshape(2, b, n - s, 2)
+                at += tq.size + tp.size
+                dqc[:, s:] += tq
+                dpc[:, s:] += tp
+                found += pairs
+            return found
+""",
+        """            head, at = _serial_pass(kernel, qc, pc, kc, spans[:cut], dqc, dpc), y.size
+            found = []
+            for s, _ in spans[cut:]:
+                pairs = pickle.load(self.replies)
+                if pairs is None:
+                    return None
+                tq, tp = self.floats[at : at + 4 * b * (n - s)].reshape(2, b, n - s, 2)
+                at += tq.size + tp.size
+                dqc[:, s:] += tq
+                dpc[:, s:] += tp
+                found += pairs
+            return found + head
+""",
+        (TEST_SPLIT,),
+    ),
+    Mutant(
+        "serial-pass-writes-later-blocks", PARTICLES,
+        """        found += _block_terms(kernel, qc, pc, kc, s, e, dist, tq, tp)
+        dqc[:, s:] += tq
+""",
+        """        found += _block_terms(kernel, qc, pc, kc, s, e, dist, tq, tp)
+        dqc[:, s:] = tq
+""",
+        (TEST_PARTICLES,),
+    ),
+    Mutant(
         "evolve-stack-merges-clashes-last-stage-first", "src/geoshoot/integrator.py",
         "{**c4, **c3, **c2, **c1}", "{**c1, **c2, **c3, **c4}",
         ("tests/test_integrator.py",),
