@@ -238,7 +238,7 @@ def _cli_files(out: dict) -> None:
                 codes = [cli.main(argv) for argv in runs]
             for path in sorted(Path(".").rglob("*")):
                 if path.parent == Path(".") or not path.is_file():
-                    continue  # the input templates
+                    continue  # the input templates and their manifests
                 data = path.read_bytes()
                 if path.name == "manifest.json":
                     doc = json.loads(data)
