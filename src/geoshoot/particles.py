@@ -446,7 +446,11 @@ _worker = None
 def _worker_for(spans: tuple, n: int) -> tuple:
     """(worker, cut) for a one-member pass of ``spans`` over n columns:
     the worker, started on the first pass that splits, takes blocks
-    cut:.  (None, 0) where the pass stays serial."""
+    cut:.  (None, 0) where the pass stays serial.
+
+    A pass of several blocks holds one member: with budget E, rows =
+    max(1, E // n) < n blocks means E < (rows + 1) n <= 2 rows n, so the
+    plan's chunk, max(1, E // (rows n)), is 1."""
     global _worker
     cut, floats = _split_at(spans, n, _SPLIT_SHARE)
     if not cut or 4 * n + floats > _Worker.FLOATS:

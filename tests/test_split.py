@@ -11,7 +11,6 @@ import re
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +62,10 @@ def test_split_rhs_equals_the_serial_loop(n, blocks, cut, family, split, monkeyp
     0.3.  Both members have two interacting coincident pairs in two
     worker blocks, and one more pair in the caller's first block, which
     is interacting in member 0 and inert (zero momentum product) in
-    member 1: member 0's clash names its caller pair and member 1's its
-    first worker pair, as the serial loop does, and every bit of
-    (dq, dp) is the serial loop's."""
+    member 1.  Member 1 also has an inert pair in a worker block, ahead
+    of its interacting ones.  Member 0's clash names its caller pair and
+    member 1's its first interacting worker pair, as the serial loop
+    does, and every bit of (dq, dp) is the serial loop's."""
     spans = kernels._plan(n, n)[0]
     assert len(spans) == blocks
     assert particles._split_at(spans, n, particles._SPLIT_SHARE)[0] == cut
@@ -75,7 +75,9 @@ def test_split_rhs_equals_the_serial_loop(n, blocks, cut, family, split, monkeyp
     p = rng.normal(size=(2, n, 2))
     q[:, n - 7] = q[:, 3]
     q[:, n - 3], q[:, n - 1] = q[:, first + 5], q[:, last + 1]
+    q[1, n - 5] = q[1, first + 2]
     p[1, 3, 1] = p[1, n - 7, 0] = 0.0  # (x, 0) . (0, y) is exactly 0
+    p[1, first + 2, 1] = p[1, n - 5, 0] = 0.0
     messages = {
         0: f"particles 3 and {n - 7} coincide with interacting momenta",
         1: f"particles {first + 5} and {n - 3} coincide with interacting momenta",
@@ -102,12 +104,14 @@ def test_split_rhs_equals_the_serial_loop(n, blocks, cut, family, split, monkeyp
 
 def test_plans_of_several_blocks_hold_one_member_per_chunk():
     """The worker's mapping holds one member per pass, because a plan of
-    more blocks than one gives each block budget // N rows, which leaves
-    no room for a second member in a chunk: checked at every N to 2999
-    and at larger N, under budgets from 1 to 2^17."""
-    sizes = [*range(1, 3000), 4096, 6464, 6465, 10000, 20000, 40000]
+    more blocks than one has one member per chunk (the proof is in
+    ``particles._worker_for``): checked under budgets E from 1 to 2^17,
+    at small N, at N next to E // k, where the rows per block change,
+    and at large N."""
     for budget in (1, 2, 3, 7, 64, 2**11, 2**13, 2**15, 2**16, 2**17):
-        for n in sizes:
+        edges = {budget // k + d for k in (1, 2, 3, 4, 7, 64) for d in (-1, 0, 1)}
+        sizes = {*range(1, 40), *edges, 300, 512, 1024, 2999, 4096, 6464, 6465, 40000}
+        for n in sorted(n for n in sizes if n > 0):
             spans, chunk = kernels._cached_plan.__wrapped__(n, n, budget)
             assert len(spans) == 1 or chunk == 1, (budget, n, chunk)
 
@@ -151,7 +155,8 @@ def test_a_worker_killed_between_calls_leaves_the_serial_bits(split, monkeypatch
 
 def test_a_worker_killed_during_a_pass_leaves_the_serial_bits(split, monkeypatch):
     """The worker dies while the caller computes its first block: the
-    call recomputes its chunk serially."""
+    call recomputes its chunk serially.  The worker is stopped before
+    the call, so it cannot answer its blocks before it dies."""
     spec, state = _transport(512)
     want = _serial(monkeypatch, lambda: particles.rhs(spec, state))
     particles.rhs(spec, state)  # starts the worker
@@ -161,8 +166,9 @@ def test_a_worker_killed_during_a_pass_leaves_the_serial_bits(split, monkeypatch
         if armed[0]:
             armed[0] = False
             os.kill(particles._worker.pid, signal.SIGKILL)
-            time.sleep(0.05)
         return block_terms(*args)
+
+    os.kill(particles._worker.pid, signal.SIGSTOP)
 
     monkeypatch.setattr(particles, "_block_terms", killing)
     assert _bits(*particles.rhs(spec, state)) == _bits(*want)

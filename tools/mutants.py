@@ -177,6 +177,12 @@ MUTANTS = (
         (TEST_PARTICLES,),
     ),
     Mutant(
+        "later-blocks-report-inert-pairs", PARTICLES,
+        "np.argwhere(coincident & (pdot != 0.0))",
+        "np.argwhere(coincident & ((pdot != 0.0) | (s > 0)))",
+        (TEST_SPLIT,),
+    ),
+    Mutant(
         "evolve-stack-merges-clashes-last-stage-first", "src/geoshoot/integrator.py",
         "{**c4, **c3, **c2, **c1}", "{**c1, **c2, **c3, **c4}",
         ("tests/test_integrator.py",),
